@@ -100,6 +100,10 @@ pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     read_timeout: Option<Duration>,
+    /// Bytes of the reply line being read. It persists across read
+    /// timeouts: a timeout may leave a partial line here, finished by
+    /// the next read.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -140,12 +144,16 @@ impl Client {
         }
     }
 
+    /// Requests are single writes, so `TCP_NODELAY` costs nothing and
+    /// keeps Nagle's algorithm from holding one back for an ACK.
     fn from_stream(stream: TcpStream) -> std::io::Result<Client> {
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             writer,
             reader: BufReader::new(stream),
             read_timeout: None,
+            line: Vec::new(),
         })
     }
 
@@ -169,8 +177,9 @@ impl Client {
     }
 
     fn read_line(&mut self) -> Result<Json, ClientError> {
-        let mut line = String::new();
-        let n = match self.reader.read_line(&mut line) {
+        // Read bytes, not a `String`: a timeout may split a multi-byte
+        // character, and `read_line` would drop the partial read.
+        let n = match self.reader.read_until(b'\n', &mut self.line) {
             Ok(n) => n,
             Err(e)
                 if matches!(
@@ -191,7 +200,12 @@ impl Client {
                 "daemon closed the connection",
             )));
         }
-        Json::parse(line.trim_end()).map_err(ClientError::Malformed)
+        let parsed = match std::str::from_utf8(&self.line) {
+            Ok(text) => Json::parse(text.trim_end()).map_err(ClientError::Malformed),
+            Err(e) => Err(ClientError::Malformed(e.to_string())),
+        };
+        self.line.clear();
+        parsed
     }
 
     /// Reads one reply, turning `{"ok": false}` into a protocol error.
@@ -290,5 +304,47 @@ impl Client {
     pub fn shutdown(&mut self, drain: bool) -> Result<(), ClientError> {
         self.send(&Request::Shutdown { drain })?;
         self.read_reply().map(|_| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connected client and the server end of its socket.
+    fn loopback_pair() -> (Client, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn connected_client_disables_nagle() {
+        let (client, _server) = loopback_pair();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
+
+    #[test]
+    fn a_line_split_by_a_read_timeout_is_finished_by_the_next_read() {
+        let (mut client, mut server) = loopback_pair();
+        let timeout = Duration::from_millis(100);
+        client.set_read_timeout(Some(timeout)).unwrap();
+
+        server.write_all(b"{\"ok\": true, \"jo").unwrap();
+        match client.read_line() {
+            Err(ClientError::Timeout { phase, after }) => {
+                assert_eq!(phase, "read");
+                assert_eq!(after, timeout);
+            }
+            other => panic!("expected a read timeout, got {other:?}"),
+        }
+
+        server.write_all(b"b\": 7}\n").unwrap();
+        let v = client.read_line().unwrap();
+        assert_eq!(v.get("job"), Some(&Json::Num(7.0)));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
     }
 }

@@ -22,7 +22,7 @@
 //! job's session to one thread by default (jobs parallelize *across*
 //! workers instead) unless the spec asks for its own pool.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -138,6 +138,11 @@ impl Daemon {
     }
 }
 
+/// Capacity of a connection's reply buffer: large enough that a results
+/// batch (a row is well under 1 KiB) and its `end` line leave in one
+/// write.
+const REPLY_BUFFER_BYTES: usize = 64 * 1024;
+
 /// One worker: claim jobs until shutdown, panic-isolating each.
 fn worker_loop(queue: &JobQueue, cache_dir: Option<&std::path::Path>) {
     while let Some((id, spec)) = queue.take_next() {
@@ -229,13 +234,20 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// daemon shutdown and releases its handler thread (which
 /// [`Daemon::run`] joins) instead of blocking forever on a client that
 /// never speaks again.
+///
+/// Replies go out through one buffer flushed once per batch: a reply
+/// line, or the rows of one results poll (plus the `end` line when the
+/// poll is terminal). With `TCP_NODELAY` set, each flush leaves at once;
+/// under Nagle's algorithm a second small write would wait for the
+/// client's delayed ACK (~40 ms on Linux loopback).
 fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
     daemon_addr: SocketAddr,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_millis(100)))?;
-    let mut writer = stream.try_clone()?;
+    stream.set_nodelay(true)?;
+    let mut writer = BufWriter::with_capacity(REPLY_BUFFER_BYTES, stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     // The line buffer persists across read timeouts: a timeout may
     // leave a partial line in it, finished by a later read.
@@ -282,9 +294,9 @@ fn handle_connection(
     }
 }
 
-/// Executes one decoded request, writing streamed rows directly and
+/// Executes one decoded request, buffering streamed rows in `writer` and
 /// returning the trailing reply lines.
-fn dispatch(req: Request, queue: &JobQueue, writer: &mut TcpStream) -> std::io::Result<Vec<Json>> {
+fn dispatch(req: Request, queue: &JobQueue, writer: &mut impl Write) -> std::io::Result<Vec<Json>> {
     let reply = match req {
         Request::Submit { spec } => match queue.submit(spec) {
             Ok((job, dedup)) => Json::Obj(vec![
@@ -320,10 +332,12 @@ fn dispatch(req: Request, queue: &JobQueue, writer: &mut TcpStream) -> std::io::
 }
 
 /// Streams `{"event": "row"}` lines for a job (blocking on `wait`) and
-/// returns the terminating `{"event": "end"}` line.
+/// returns the terminating `{"event": "end"}` line. Each non-terminal
+/// batch of rows is flushed as it lands; the last batch stays buffered
+/// so the caller sends it together with the `end` line.
 fn stream_results(
     queue: &JobQueue,
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
     job: u64,
     wait: bool,
 ) -> std::io::Result<Json> {
@@ -342,7 +356,6 @@ fn stream_results(
             writer.write_all(wire_line(&event).as_bytes())?;
             cursor += 1;
         }
-        writer.flush()?;
         match poll.terminal {
             Some((state, error)) => {
                 return Ok(Json::Obj(vec![
@@ -359,7 +372,7 @@ fn stream_results(
                     ),
                 ]));
             }
-            None if wait => continue,
+            None if wait => writer.flush()?,
             None => {
                 return Ok(Json::Obj(vec![
                     ("event".to_owned(), Json::Str("end".to_owned())),

@@ -1,8 +1,8 @@
-//! End-to-end daemon tests over a real loopback socket: co-run jobs and
-//! the client's connect/read deadlines.
+//! End-to-end daemon tests over a real loopback socket: co-run jobs,
+//! the client's connect/read deadlines, and round-trip latency.
 
 use std::net::TcpListener;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fgstp_service::client::{Client, ClientError};
 use fgstp_service::daemon::{Daemon, DaemonConfig};
@@ -69,6 +69,45 @@ fn corun_spec_round_trips_through_the_daemon() {
     assert_eq!(
         counters.get("service.corun-jobs").and_then(Json::as_f64),
         Some(2.0)
+    );
+
+    client.shutdown(false).unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn results_of_a_finished_job_round_trip_without_a_delayed_ack_stall() {
+    // A reply of several small writes would wait on the client's delayed
+    // ACK (~40 ms on Linux loopback) under Nagle's algorithm; one write
+    // per reply on a TCP_NODELAY socket leaves at once.
+    let (addr, handle) = start_daemon();
+    let spec = ExperimentSpec::from_args(&[
+        "test",
+        "--workloads=perl_hash",
+        "--machines=small-cmp",
+        "--no-cache",
+    ])
+    .unwrap();
+    let mut client = Client::connect_timeout(addr, Duration::from_secs(5)).unwrap();
+    let (sub, _, outcome) = client.run_to_completion(&spec).unwrap();
+    assert!(outcome.is_done(), "{outcome:?}");
+
+    let mut times: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let mut rows = 0;
+            let end = client.results(sub.job, true, |_| rows += 1).unwrap();
+            let took = started.elapsed();
+            assert!(rows >= 1, "a finished job replays its rows");
+            assert!(end.is_done(), "{end:?}");
+            took
+        })
+        .collect();
+    times.sort();
+    assert!(
+        times[times.len() / 2] < Duration::from_millis(10),
+        "median results round trip {:?} (all: {times:?})",
+        times[times.len() / 2]
     );
 
     client.shutdown(false).unwrap();

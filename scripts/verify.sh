@@ -17,6 +17,9 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== service crate tests (client framing, TCP_NODELAY, loopback latency)"
+cargo test -q -p fgstp-service
+
 echo "== telemetry invariants (cycle accounting reconciles exactly)"
 cargo test -q --test telemetry
 
@@ -174,5 +177,9 @@ cargo build --release -q -p fgstp-bench --bin bench_functional
 ./target/release/bench_functional test --iters=1 \
   --out=target/bench_functional_smoke.json
 ./target/release/bench_functional --schema-check=BENCH_functional.json
+
+echo "== end-to-end benchmark smoke (every workload at test scale)"
+# One pass per workload; exits non-zero when any op fails its golden check.
+cargo run --release -q --manifest-path bench_e2e/Cargo.toml -- --smoke
 
 echo "== verify OK"
