@@ -16,9 +16,10 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp_with_sink, FgstpConfig};
+use fgstp::{run_fgstp_warm, FgstpConfig};
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
 use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::WarmState;
 use fgstp_sim::{geomean, CpiStack, StallCategory, Table};
 use fgstp_telemetry::CpiSink;
 
@@ -45,8 +46,10 @@ fn main() {
         let points = session.par_map(&jobs, |((_, t), single)| {
             let cfg = FgstpConfig::small().with_cores(n);
             let mut sink = CpiSink::new(n);
-            let (r, _) =
-                run_fgstp_with_sink(t.insts(), &cfg, &HierarchyConfig::small(n), &mut sink);
+            let mut warm = WarmState::new(&cfg.core, &HierarchyConfig::small(n));
+            let r = run_fgstp_warm(t.insts(), &cfg, &mut warm, 0, &mut sink)
+                .0
+                .result;
             let stack = sink.merged();
             stack
                 .check_against(n as u64 * r.cycles)

@@ -29,7 +29,8 @@
 
 use fgstp_isa::DynInst;
 use fgstp_mem::{DramBandwidth, Hierarchy, HierarchyConfig, HierarchyStats};
-use fgstp_ooo::RunResult;
+use fgstp_ooo::{PredictorState, RunResult};
+use fgstp_telemetry::NullSink;
 
 use crate::machine::{FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram};
 
@@ -217,7 +218,14 @@ fn run_corun_shared(
         .iter()
         .zip(&plan.programs)
         .zip(&first_core)
-        .map(|((prog, p), &base_core)| FgstpMachine::new(prog, &p.cfg, base_core))
+        .map(|((prog, p), &base_core)| {
+            FgstpMachine::new(
+                prog,
+                &p.cfg,
+                base_core,
+                &mut PredictorState::new(&p.cfg.core),
+            )
+        })
         .collect();
 
     let mut finish: Vec<Option<u64>> = machines
@@ -232,7 +240,7 @@ fn run_corun_shared(
             if finish[i].is_some() || now < plan.programs[i].start_cycle {
                 continue;
             }
-            m.step(now, &mut mem);
+            m.step(now, &mut mem, &mut NullSink);
             if m.done() {
                 finish[i] = Some(now + 1);
             }

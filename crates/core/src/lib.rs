@@ -63,8 +63,7 @@ pub use corun::{
 pub use depgraph::DepGraph;
 pub use exec::{check_partition, CheckError};
 pub use machine::{
-    run_fgstp, run_fgstp_recorded, run_fgstp_warm, run_fgstp_warm_with_sink, run_fgstp_with_sink,
-    FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram,
+    run_fgstp, run_fgstp_warm, FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram,
 };
 pub use partition::{
     partition_stream, partition_stream_weighted, PartitionConfig, PartitionPolicy, PartitionStats,

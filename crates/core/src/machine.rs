@@ -409,8 +409,10 @@ impl ExecEnv for FgstpEnv<'_> {
 /// Upper bound on cycles per instruction before declaring a deadlock.
 const DEADLOCK_CPI: u64 = 2_000;
 
-/// Runs `trace` on the Fg-STP machine; returns the timing result and the
-/// Fg-STP-specific statistics.
+/// Runs `trace` on the Fg-STP machine from cold state: [`run_fgstp_warm`]
+/// on a fresh [`WarmState`], measured from the first commit, with no
+/// instrumentation. Returns the timing result and the Fg-STP-specific
+/// statistics.
 ///
 /// # Panics
 ///
@@ -421,105 +423,51 @@ pub fn run_fgstp(
     cfg: &FgstpConfig,
     hcfg: &HierarchyConfig,
 ) -> (RunResult, FgstpStats) {
-    let (result, stats, _) = run_fgstp_recorded(trace, cfg, hcfg, None);
-    (result, stats)
+    let mut warm = WarmState::new(&cfg.core, hcfg);
+    let (run, stats) = run_fgstp_warm(trace, cfg, &mut warm, 0, &mut NullSink);
+    (run.result, stats)
 }
 
-/// Like [`run_fgstp`], but optionally records per-instruction pipeline
-/// events on every core (pass one recorder per core) and returns them —
-/// the multi-core pipeview used by the `fgstpsim pipeview2` command.
+/// Runs `trace` on the Fg-STP machine entered with the long-lived state in
+/// `warm` — a fresh [`WarmState`] for a whole-trace run, or the warmed
+/// state of a sampled detailed window; the N-core counterpart of
+/// [`fgstp_ooo::run_single_warm`].
 ///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores, if the number
-/// of recorders does not match, or if the machine deadlocks (a model bug).
-#[allow(clippy::type_complexity)]
-pub fn run_fgstp_recorded(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    recorders: Option<Vec<fgstp_ooo::PipeRecorder>>,
-) -> (RunResult, FgstpStats, Option<Vec<fgstp_ooo::PipeRecorder>>) {
-    run_fgstp_impl(trace, cfg, hcfg, recorders, &mut NullSink)
-}
-
-/// Like [`run_fgstp`], but charges every core-cycle into `sink` (cores
-/// `0..num_cores`; one outcome per core per machine cycle).
-///
-/// Timing is bit-identical to [`run_fgstp`]: the accounting probes reuse
-/// the environment's idempotent queries and never mutate pipeline,
-/// predictor, queue or cache state.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores, or if the
-/// machine deadlocks (a model bug).
-pub fn run_fgstp_with_sink<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    sink: &mut S,
-) -> (RunResult, FgstpStats) {
-    let (result, stats, _) = run_fgstp_impl(trace, cfg, hcfg, None, sink);
-    (result, stats)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_fgstp_impl<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    recorders: Option<Vec<fgstp_ooo::PipeRecorder>>,
-    sink: &mut S,
-) -> (RunResult, FgstpStats, Option<Vec<fgstp_ooo::PipeRecorder>>) {
-    let mut pred = PredictorState::new(&cfg.core);
-    let mut mem = Hierarchy::new(hcfg);
-    let (result, stats, _, recorders) =
-        run_fgstp_loop(trace, cfg, &mut mem, &mut pred, recorders, sink, 0);
-    (result, stats, recorders)
-}
-
-/// Runs one detailed Fg-STP window entered mid-trace with warmed
-/// long-lived state (the sampled-simulation path); the N-core counterpart
-/// of [`fgstp_ooo::run_single_warm`].
+/// The shared frontend predicts on `warm.pred` and every core accesses
+/// `warm.mem`; the cycles until the `measure_from`-th primary commit are
+/// reported as [`WarmRun::warmup_cycles`]. Every core-cycle (warmup
+/// included) and every pipeline stage an instruction reaches is reported
+/// to `sink`, without changing timing.
 ///
 /// # Panics
 ///
 /// Panics if `warm`'s hierarchy does not describe `cfg.num_cores` cores,
 /// or if the machine deadlocks (a model bug).
-pub fn run_fgstp_warm(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    warm: &mut WarmState,
-    measure_from: u64,
-) -> (WarmRun, FgstpStats) {
-    run_fgstp_warm_with_sink(trace, cfg, warm, measure_from, &mut NullSink)
-}
-
-/// Like [`run_fgstp_warm`], but charges every core-cycle (warmup included)
-/// into `sink`.
-///
-/// # Panics
-///
-/// Panics if `warm`'s hierarchy does not describe `cfg.num_cores` cores,
-/// or if the machine deadlocks (a model bug).
-pub fn run_fgstp_warm_with_sink<S: CycleSink>(
+pub fn run_fgstp_warm<S: CycleSink>(
     trace: &[DynInst],
     cfg: &FgstpConfig,
     warm: &mut WarmState,
     measure_from: u64,
     sink: &mut S,
 ) -> (WarmRun, FgstpStats) {
-    let (result, stats, warmup_cycles, _) = run_fgstp_loop(
-        trace,
-        cfg,
-        &mut warm.mem,
-        &mut warm.pred,
-        None,
-        sink,
-        measure_from,
+    assert_eq!(
+        warm.mem.config().cores,
+        cfg.num_cores,
+        "hierarchy core count must match FgstpConfig::num_cores"
     );
-    warm.apply_writebacks(trace);
+    let prog = PreparedProgram::new(trace, cfg);
+    let mut machine = FgstpMachine::new(&prog, cfg, 0, &mut warm.pred);
+    let mut now = 0u64;
+    let mut warmup_cycles = 0u64;
+    while !machine.done() {
+        // A cycle that starts before the `measure_from`-th commit is warmup.
+        if machine.committed() < measure_from {
+            warmup_cycles = now + 1;
+        }
+        machine.step(now, &mut warm.mem, sink);
+        now += 1;
+    }
+    let (result, stats) = machine.finish(now, warm.mem.stats());
     (
         WarmRun {
             result,
@@ -529,140 +477,6 @@ pub fn run_fgstp_warm_with_sink<S: CycleSink>(
     )
 }
 
-/// The shared machine loop: drives the N cores over `trace` against an
-/// external hierarchy and predictor bundle, returning the result, the
-/// Fg-STP statistics, the cycle at which the `measure_from`-th primary
-/// commit landed, and any pipeline recorders.
-#[allow(clippy::type_complexity)]
-fn run_fgstp_loop<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    mem: &mut Hierarchy,
-    pred: &mut PredictorState,
-    recorders: Option<Vec<fgstp_ooo::PipeRecorder>>,
-    sink: &mut S,
-    measure_from: u64,
-) -> (
-    RunResult,
-    FgstpStats,
-    u64,
-    Option<Vec<fgstp_ooo::PipeRecorder>>,
-) {
-    let n = cfg.num_cores;
-    assert!(n >= 1, "Fg-STP needs at least one core");
-    assert_eq!(
-        mem.config().cores,
-        n,
-        "hierarchy core count must match FgstpConfig::num_cores"
-    );
-    if let Some(per_core) = &cfg.per_core {
-        assert_eq!(
-            per_core.len(),
-            n,
-            "per-core override list must match FgstpConfig::num_cores"
-        );
-    }
-    let stream = build_exec_stream(trace);
-    // Destructured so the environment can borrow the send masks and load
-    // barriers while the cores borrow their streams — no per-run clones.
-    let PartitionedStream {
-        streams,
-        send_targets,
-        load_barriers,
-        stats: partition_stats,
-        ..
-    } = partition_stream_weighted(&stream, &cfg.partition, &cfg.steering_caps());
-    let mut env = FgstpEnv::new(cfg, &stream, &send_targets, &load_barriers, n, pred);
-    let mut cores: Vec<Core> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Core::new(i, cfg.core_for(i), s))
-        .collect();
-    let recording = recorders.is_some();
-    if let Some(recs) = recorders {
-        assert_eq!(recs.len(), n, "one pipeline recorder per core");
-        for (core, r) in cores.iter_mut().zip(recs) {
-            core.set_recorder(r);
-        }
-    }
-    let cap = (stream.len() as u64) * DEADLOCK_CPI + 100_000;
-    let mut now = 0u64;
-    let mut warmup_cycles = if measure_from == 0 { 0 } else { u64::MAX };
-    let debug = std::env::var_os("FGSTP_TRACE").is_some();
-    let mut before = vec![CoreStats::default(); n];
-    while !cores.iter().all(Core::done) {
-        if S::ENABLED {
-            for (b, core) in before.iter_mut().zip(&cores) {
-                *b = *core.stats();
-            }
-        }
-        for core in &mut cores {
-            core.cycle(now, &mut env, mem);
-        }
-        if S::ENABLED {
-            for (i, core) in cores.iter().enumerate() {
-                let d = stat_delta(&before[i], core.stats());
-                let outcome = if d.committed > 0 {
-                    CycleOutcome::Commit(d.committed as u32)
-                } else {
-                    let stall = core.commit_stall(&mut env, now);
-                    CycleOutcome::Stall(classify_fgstp(core.done(), env.skew_blocked(i), stall, &d))
-                };
-                sink.record(i, now, outcome);
-            }
-        }
-        now += 1;
-        if warmup_cycles == u64::MAX && env.committed >= measure_from {
-            warmup_cycles = now;
-        }
-        if debug && now.is_multiple_of(2000) {
-            let snaps: Vec<String> = cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("c{i} {}", c.pipeline_snapshot()))
-                .collect();
-            eprintln!(
-                "[{}] commit={} {}",
-                now,
-                env.completed_frontier,
-                snaps.join(" | ")
-            );
-        }
-        assert!(now < cap, "Fg-STP machine deadlocked at cycle {now}");
-    }
-    if warmup_cycles == u64::MAX {
-        warmup_cycles = now;
-    }
-    let core_stats: Vec<CoreStats> = cores.iter().map(|c| *c.stats()).collect();
-    let stats = FgstpStats {
-        partition: partition_stats,
-        comm: (0..n).map(|to| env.fabric.inbound_stats(to)).collect(),
-        cross_violations: core_stats.iter().map(|c| c.cross_violations).sum(),
-    };
-    let result = RunResult {
-        cycles: now,
-        committed: env.committed,
-        cores: core_stats,
-        branches: (env.branches, env.mispredicts),
-        mem: mem.stats(),
-    };
-    let recorders = if recording {
-        Some(
-            cores
-                .iter_mut()
-                .enumerate()
-                .map(|(i, c)| {
-                    c.take_recorder()
-                        .unwrap_or_else(|| panic!("recorder was attached to core {i}"))
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    (result, stats, warmup_cycles, recorders)
-}
-
 /// A partitioned program ready to run on an [`FgstpMachine`]: owns the
 /// execution stream and the partition data the machine borrows, so
 /// machines can be created against it and stepped side by side in a
@@ -670,7 +484,12 @@ fn run_fgstp_loop<S: CycleSink>(
 #[derive(Debug)]
 pub struct PreparedProgram {
     stream: Vec<ExecInst>,
-    parts: PartitionedStream,
+    /// Per-core streams, send masks, load barriers and the summary of the
+    /// partition; the rest of [`PartitionedStream`] is dropped up front.
+    streams: Vec<Vec<ExecInst>>,
+    send_targets: Vec<u64>,
+    load_barriers: Vec<u64>,
+    stats: PartitionStats,
 }
 
 impl PreparedProgram {
@@ -690,8 +509,20 @@ impl PreparedProgram {
             );
         }
         let stream = build_exec_stream(trace);
-        let parts = partition_stream_weighted(&stream, &cfg.partition, &cfg.steering_caps());
-        PreparedProgram { stream, parts }
+        let PartitionedStream {
+            streams,
+            send_targets,
+            load_barriers,
+            stats,
+            ..
+        } = partition_stream_weighted(&stream, &cfg.partition, &cfg.steering_caps());
+        PreparedProgram {
+            stream,
+            streams,
+            send_targets,
+            load_barriers,
+            stats,
+        }
     }
 
     /// Number of primary (architectural) instructions.
@@ -706,16 +537,14 @@ impl PreparedProgram {
 
     /// The partitioning summary.
     pub fn partition_stats(&self) -> &PartitionStats {
-        &self.parts.stats
+        &self.stats
     }
 }
 
-/// One steppable Fg-STP machine instance over a [`PreparedProgram`] — the
-/// co-run building block. [`FgstpMachine::step`] performs exactly the
-/// per-cycle operations of [`run_fgstp`]'s loop (same core stepping order,
-/// same shared environment), so a lone machine stepped from cycle 0
-/// against a cold hierarchy is bit-identical to [`run_fgstp`]; the co-run
-/// degenerate-case tests pin this down.
+/// One steppable Fg-STP machine instance over a [`PreparedProgram`]: the
+/// cycle driver behind [`run_fgstp_warm`] and the co-run building block.
+/// A lone machine stepped from cycle 0 against a cold hierarchy is
+/// [`run_fgstp`]; the co-run degenerate-case tests pin this down.
 ///
 /// `mem_core_base` remaps the machine's locally-numbered cores onto a
 /// slice of a larger shared hierarchy: core `i` issues its memory accesses
@@ -726,12 +555,16 @@ pub struct FgstpMachine<'a> {
     prog: &'a PreparedProgram,
     env: FgstpEnv<'a>,
     cores: Vec<Core<'a>>,
+    /// Per-core stats at the start of the current cycle (telemetry only).
+    before: Vec<CoreStats>,
     stepped: u64,
     cap: u64,
 }
 
 impl<'a> FgstpMachine<'a> {
-    /// Builds the machine with a fresh predictor bundle.
+    /// Builds the machine. The shared frontend predicts every control
+    /// instruction of `prog` on `pred` up front, in program order — a
+    /// fresh bundle for a cold run, the warmed one for a sampled window.
     ///
     /// # Panics
     ///
@@ -741,24 +574,23 @@ impl<'a> FgstpMachine<'a> {
         prog: &'a PreparedProgram,
         cfg: &'a FgstpConfig,
         mem_core_base: usize,
+        pred: &mut PredictorState,
     ) -> FgstpMachine<'a> {
         let n = cfg.num_cores;
         assert_eq!(
-            prog.parts.num_cores(),
+            prog.streams.len(),
             n,
             "program was partitioned for a different core count"
         );
-        let mut pred = PredictorState::new(&cfg.core);
         let env = FgstpEnv::new(
             cfg,
             &prog.stream,
-            &prog.parts.send_targets,
-            &prog.parts.load_barriers,
+            &prog.send_targets,
+            &prog.load_barriers,
             n,
-            &mut pred,
+            pred,
         );
         let mut cores: Vec<Core> = prog
-            .parts
             .streams
             .iter()
             .enumerate()
@@ -771,6 +603,7 @@ impl<'a> FgstpMachine<'a> {
             prog,
             env,
             cores,
+            before: vec![CoreStats::default(); n],
             stepped: 0,
             cap: (prog.stream.len() as u64) * DEADLOCK_CPI + 100_000,
         }
@@ -786,20 +619,48 @@ impl<'a> FgstpMachine<'a> {
         self.env.committed
     }
 
-    /// Advances every core one cycle at global time `now`.
+    /// Advances every core one cycle at global time `now`, charging each
+    /// core's cycle (commits, or one [`StallCategory`]) and every pipeline
+    /// stage reached into `sink` under the machine's local core indices.
     ///
     /// # Panics
     ///
-    /// Panics if the machine exceeds its deadlock bound (a model bug).
-    pub fn step(&mut self, now: u64, mem: &mut Hierarchy) {
+    /// Panics if the machine exceeds its deadlock bound (a model bug); the
+    /// message carries every core's pipeline snapshot.
+    pub fn step<S: CycleSink>(&mut self, now: u64, mem: &mut Hierarchy, sink: &mut S) {
+        if S::ENABLED {
+            for (b, core) in self.before.iter_mut().zip(&self.cores) {
+                *b = *core.stats();
+            }
+        }
         for core in &mut self.cores {
-            core.cycle(now, &mut self.env, mem);
+            core.cycle(now, &mut self.env, mem, sink);
+        }
+        if S::ENABLED {
+            for (i, core) in self.cores.iter().enumerate() {
+                let d = stat_delta(&self.before[i], core.stats());
+                let outcome = if d.committed > 0 {
+                    CycleOutcome::Commit(d.committed as u32)
+                } else {
+                    let stall = core.commit_stall(&mut self.env, now);
+                    let skew = self.env.skew_blocked(i);
+                    CycleOutcome::Stall(classify_fgstp(core.done(), skew, stall, &d))
+                };
+                sink.record(i, now, outcome);
+            }
         }
         self.stepped += 1;
         assert!(
             self.stepped < self.cap,
-            "Fg-STP machine deadlocked after {} cycles",
-            self.stepped
+            "Fg-STP machine deadlocked after {} cycles: commit frontier {}, {}",
+            self.stepped,
+            self.env.completed_frontier,
+            self.cores
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("c{i} {}", c.pipeline_snapshot()))
+                .collect::<Vec<_>>()
+                .join(" | ")
         );
     }
 
@@ -811,7 +672,7 @@ impl<'a> FgstpMachine<'a> {
         let n = self.cores.len();
         let core_stats: Vec<CoreStats> = self.cores.iter().map(|c| *c.stats()).collect();
         let stats = FgstpStats {
-            partition: self.prog.parts.stats.clone(),
+            partition: self.prog.stats.clone(),
             comm: (0..n).map(|to| self.env.fabric.inbound_stats(to)).collect(),
             cross_violations: core_stats.iter().map(|c| c.cross_violations).sum(),
         };
@@ -992,13 +853,24 @@ mod tests {
         run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
     }
 
+    /// A cold run through `sink`.
+    fn run_with<S: CycleSink>(
+        t: &Trace,
+        cfg: &FgstpConfig,
+        hcfg: &HierarchyConfig,
+        sink: &mut S,
+    ) -> RunResult {
+        let mut warm = WarmState::new(&cfg.core, hcfg);
+        run_fgstp_warm(t.insts(), cfg, &mut warm, 0, sink).0.result
+    }
+
     #[test]
     fn sink_accounts_both_cores_without_changing_timing() {
         let t = two_chain_trace();
         let (plain, _) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
         let mut sink = fgstp_telemetry::CpiSink::new(2);
-        let (r, _) = run_fgstp_with_sink(
-            t.insts(),
+        let r = run_with(
+            &t,
             &FgstpConfig::small(),
             &HierarchyConfig::small(2),
             &mut sink,
@@ -1023,11 +895,40 @@ mod tests {
         let cfg = FgstpConfig::small().with_cores(4);
         let (plain, _) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(4));
         let mut sink = fgstp_telemetry::CpiSink::new(4);
-        let (r, _) = run_fgstp_with_sink(t.insts(), &cfg, &HierarchyConfig::small(4), &mut sink);
+        let r = run_with(&t, &cfg, &HierarchyConfig::small(4), &mut sink);
         assert_eq!(r.cycles, plain.cycles, "telemetry must not change timing");
         let merged = sink.merged();
         merged.check_against(4 * r.cycles).unwrap();
         assert_eq!(merged.committed, r.committed);
+    }
+
+    #[test]
+    fn recorded_run_captures_every_stage_in_order_on_every_core() {
+        let t = two_chain_trace();
+        for n in [2, 4] {
+            let cfg = FgstpConfig::small().with_cores(n);
+            let hcfg = HierarchyConfig::small(n);
+            let (plain, _) = run_fgstp(t.insts(), &cfg, &hcfg);
+            let mut rec = fgstp_ooo::PipeRecorder::new();
+            let r = run_with(&t, &cfg, &hcfg, &mut rec);
+            assert_eq!(
+                r.cycles, plain.cycles,
+                "{n} cores: recording changed timing"
+            );
+            for (i, core) in r.cores.iter().enumerate() {
+                // Every instruction the core holds, replicas included.
+                let held = core.committed + core.replica_committed;
+                assert_eq!(rec.iter(i).count() as u64, held, "{n} cores, core {i}");
+                for (gseq, ev) in rec.iter(i) {
+                    assert!(ev.is_ordered(), "core {i}, {gseq}: {ev:?}");
+                    for stage in fgstp_telemetry::Stage::ALL {
+                        assert!(ev.at(stage).is_some(), "core {i}, {gseq} missing {stage:?}");
+                    }
+                    assert!(ev.commit.unwrap() < r.cycles);
+                }
+            }
+            assert!(rec.iter(1).count() > 0, "{n} cores: work reached core 1");
+        }
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Trace {
         &self.insts
     }
 
-    /// Consumes the trace, yielding the instruction vector without a copy.
-    pub fn into_insts(self) -> Vec<DynInst> {
-        self.insts
-    }
-
     /// Number of dynamic instructions.
     pub fn len(&self) -> usize {
         self.insts.len()

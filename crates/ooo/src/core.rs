@@ -42,7 +42,7 @@ use std::collections::{HashSet, VecDeque};
 
 use fgstp_isa::InstClass;
 use fgstp_mem::{EventWheel, Hierarchy, HierarchyConfig};
-use fgstp_telemetry::MemLevel;
+use fgstp_telemetry::{CycleSink, MemLevel, Stage};
 
 use crate::config::{CoreConfig, MemDepPolicy};
 use crate::env::{ExecEnv, LoadGate};
@@ -310,7 +310,17 @@ pub struct Core<'a> {
     scratch_issued: Vec<usize>,
     scratch_done: Vec<(u64, u64)>,
     stats: CoreStats,
-    recorder: Option<crate::pipeview::PipeRecorder>,
+}
+
+/// Receives `(gseq, stage, cycle)` for every stage an instruction
+/// reaches; `None` when the run's sink records nothing.
+type StageHook<'h> = Option<&'h mut dyn FnMut(u64, Stage, u64)>;
+
+#[inline]
+fn note(hook: &mut StageHook, gseq: u64, stage: Stage, cycle: u64) {
+    if let Some(h) = hook {
+        h(gseq, stage, cycle);
+    }
 }
 
 impl<'a> Core<'a> {
@@ -353,30 +363,6 @@ impl<'a> Core<'a> {
             scratch_issued: vec![0; clusters],
             scratch_done: Vec::with_capacity(cfg.issue_width + 4),
             stats: CoreStats::default(),
-            recorder: None,
-        }
-    }
-
-    /// Attaches a pipeline-event recorder (see [`crate::PipeRecorder`]).
-    pub fn set_recorder(&mut self, recorder: crate::pipeview::PipeRecorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Detaches and returns the recorder, if one was attached.
-    pub fn take_recorder(&mut self) -> Option<crate::pipeview::PipeRecorder> {
-        self.recorder.take()
-    }
-
-    #[inline]
-    fn record(
-        &mut self,
-        gseq: u64,
-        inst: fgstp_isa::Inst,
-        stage: crate::pipeview::Stage,
-        cycle: u64,
-    ) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(gseq, inst, stage, cycle);
         }
     }
 
@@ -483,16 +469,42 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Advances the pipeline by one cycle.
-    pub fn cycle(&mut self, now: u64, env: &mut dyn ExecEnv, mem: &mut Hierarchy) {
-        self.drain_completions(now, env);
-        self.commit(now, env, mem);
-        self.issue(now, env, mem);
-        self.dispatch(now);
-        self.fetch(now, env, mem);
+    /// Advances the pipeline by one cycle, reporting every stage an
+    /// instruction reaches to `sink` (see [`CycleSink::stage`]).
+    pub fn cycle<S: CycleSink>(
+        &mut self,
+        now: u64,
+        env: &mut dyn ExecEnv,
+        mem: &mut Hierarchy,
+        sink: &mut S,
+    ) {
+        // The pipeline itself is not generic over the sink, so it is
+        // compiled once, in this crate, where its helpers inline: a copy
+        // per sink type in each caller's crate measured slower.
+        if S::ENABLED {
+            let id = self.id;
+            let mut hook = |gseq, stage, cycle| sink.stage(id, gseq, stage, cycle);
+            self.advance(now, env, mem, &mut Some(&mut hook));
+        } else {
+            self.advance(now, env, mem, &mut None);
+        }
     }
 
-    fn drain_completions(&mut self, now: u64, env: &mut dyn ExecEnv) {
+    fn advance(
+        &mut self,
+        now: u64,
+        env: &mut dyn ExecEnv,
+        mem: &mut Hierarchy,
+        hook: &mut StageHook,
+    ) {
+        self.drain_completions(now, env, hook);
+        self.commit(now, env, mem, hook);
+        self.issue(now, env, mem, hook);
+        self.dispatch(now, hook);
+        self.fetch(now, env, mem, hook);
+    }
+
+    fn drain_completions(&mut self, now: u64, env: &mut dyn ExecEnv, hook: &mut StageHook) {
         self.scratch_done.clear();
         let mut due = std::mem::take(&mut self.scratch_done);
         self.completions.drain_due_into(now, &mut due);
@@ -511,7 +523,7 @@ impl<'a> Core<'a> {
             if x.sends {
                 self.stats.sends += 1;
             }
-            self.record(x.gseq, x.d.inst, crate::pipeview::Stage::Complete, cycle);
+            note(hook, gseq, Stage::Complete, cycle);
             env.on_complete(self.id, &x, cycle);
             if self.gating[gseq as usize] {
                 self.gating[gseq as usize] = false;
@@ -521,7 +533,13 @@ impl<'a> Core<'a> {
         self.scratch_done = due;
     }
 
-    fn commit(&mut self, now: u64, env: &mut dyn ExecEnv, mem: &mut Hierarchy) {
+    fn commit(
+        &mut self,
+        now: u64,
+        env: &mut dyn ExecEnv,
+        mem: &mut Hierarchy,
+        hook: &mut StageHook,
+    ) {
         for _ in 0..self.cfg.commit_width {
             let Some(&sid) = self.rob.front() else { break };
             let s = sid as usize;
@@ -552,7 +570,7 @@ impl<'a> Core<'a> {
             } else {
                 self.stats.committed += 1;
             }
-            self.record(gseq, x.d.inst, crate::pipeview::Stage::Commit, now);
+            note(hook, gseq, Stage::Commit, now);
             env.on_commit(self.id, &x, now);
             self.rob.pop_front();
             self.slot_of[gseq as usize] = NO_SLOT;
@@ -717,7 +735,13 @@ impl<'a> Core<'a> {
         }
     }
 
-    fn issue(&mut self, now: u64, env: &mut dyn ExecEnv, mem: &mut Hierarchy) {
+    fn issue(
+        &mut self,
+        now: u64,
+        env: &mut dyn ExecEnv,
+        mem: &mut Hierarchy,
+        hook: &mut StageHook,
+    ) {
         let mut issued_total = 0;
         let mut issued_any = false;
         self.scratch_issued.fill(0);
@@ -865,7 +889,7 @@ impl<'a> Core<'a> {
                 w = self.slots.waiter_next[w as usize];
             }
             self.completions.push(done, x.gseq);
-            self.record(x.gseq, x.d.inst, crate::pipeview::Stage::Issue, now);
+            note(hook, x.gseq, Stage::Issue, now);
             issued_any = true;
             issued_total += 1;
             self.scratch_issued[cluster] += 1;
@@ -914,7 +938,7 @@ impl<'a> Core<'a> {
         }
     }
 
-    fn dispatch(&mut self, now: u64) {
+    fn dispatch(&mut self, now: u64, hook: &mut StageHook) {
         for _ in 0..self.cfg.decode_width {
             let Some(&(ready, _)) = self.pipe.front() else {
                 break;
@@ -962,11 +986,17 @@ impl<'a> Core<'a> {
             self.rob.push_back(sid);
             self.iq.push(sid);
             self.iq_load[cluster] += 1;
-            self.record(x.gseq, x.d.inst, crate::pipeview::Stage::Dispatch, now);
+            note(hook, x.gseq, Stage::Dispatch, now);
         }
     }
 
-    fn fetch(&mut self, now: u64, env: &mut dyn ExecEnv, mem: &mut Hierarchy) {
+    fn fetch(
+        &mut self,
+        now: u64,
+        env: &mut dyn ExecEnv,
+        mem: &mut Hierarchy,
+        hook: &mut StageHook,
+    ) {
         env.note_fetch_cursor(self.id, self.stream.get(self.cursor).map(|x| x.gseq));
         if now < self.fetch_stall_until {
             self.stats.icache_stall_cycles += 1;
@@ -1020,7 +1050,7 @@ impl<'a> Core<'a> {
             }
             self.cursor += 1;
             self.stats.fetched += 1;
-            self.record(x.gseq, x.d.inst, crate::pipeview::Stage::Fetch, now);
+            note(hook, x.gseq, Stage::Fetch, now);
             self.pipe.push_back((ready, x));
             if x.class().is_control() {
                 let p = env.predict(self.id, &x);
@@ -1056,11 +1086,12 @@ mod tests {
         let stream = build_exec_stream(t.insts());
         let total = stream.len() as u64;
         let mut core = Core::new(0, &cfg, &stream);
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = crate::env::PredictorState::new(&cfg);
+        let mut env = SingleEnv::new(&mut pred);
         let mut mem = fgstp_mem::Hierarchy::new(&HierarchyConfig::small(1));
         let mut now = 0u64;
         while !core.done() {
-            core.cycle(now, &mut env, &mut mem);
+            core.cycle(now, &mut env, &mut mem, &mut fgstp_telemetry::NullSink);
             now += 1;
             assert!(now < total * 1000 + 100_000, "pipeline deadlocked");
         }

@@ -269,41 +269,25 @@ impl FetchGate {
 /// Environment for a conventional single core (also used for the fused
 /// Core Fusion core, which is a single wide clustered core).
 #[derive(Debug)]
-pub struct SingleEnv {
-    pred: PredictorState,
+pub struct SingleEnv<'a> {
+    pred: &'a mut PredictorState,
     gate: FetchGate,
     next_commit: u64,
     committed: u64,
 }
 
-impl SingleEnv {
-    /// Creates the environment for one core described by `cfg`.
-    pub fn new(cfg: &CoreConfig) -> SingleEnv {
-        SingleEnv {
-            pred: PredictorState::new(cfg),
-            gate: FetchGate::default(),
-            next_commit: 0,
-            committed: 0,
-        }
-    }
-
-    /// Creates the environment around an existing (already-trained)
-    /// predictor bundle — the sampled-simulation warm-entry path. Commit
-    /// order and commit counters start fresh; the predictor's cumulative
+impl<'a> SingleEnv<'a> {
+    /// Creates the environment around a predictor bundle — fresh for a
+    /// cold run, already trained for a sampled window. Commit order and
+    /// commit counters start fresh; the predictor's cumulative
     /// `branches`/`mispredicts` counters keep counting.
-    pub fn with_predictor(pred: PredictorState) -> SingleEnv {
+    pub fn new(pred: &'a mut PredictorState) -> SingleEnv<'a> {
         SingleEnv {
             pred,
             gate: FetchGate::default(),
             next_commit: 0,
             committed: 0,
         }
-    }
-
-    /// Consumes the environment, handing the predictor bundle back to the
-    /// warm-state owner.
-    pub fn into_predictor(self) -> PredictorState {
-        self.pred
     }
 
     /// Conditional branches predicted and mispredicted.
@@ -317,7 +301,7 @@ impl SingleEnv {
     }
 }
 
-impl ExecEnv for SingleEnv {
+impl ExecEnv for SingleEnv<'_> {
     fn predict(&mut self, _core: usize, x: &ExecInst) -> Prediction {
         self.pred.predict(x)
     }
@@ -408,7 +392,8 @@ mod tests {
             "#,
         );
         let cfg = CoreConfig::small();
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = PredictorState::new(&cfg);
+        let mut env = SingleEnv::new(&mut pred);
         for x in &xs {
             if x.class().is_control() {
                 env.predict(0, x);
@@ -434,7 +419,8 @@ mod tests {
             "#,
         );
         let cfg = CoreConfig::small();
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = PredictorState::new(&cfg);
+        let mut env = SingleEnv::new(&mut pred);
         // Call: direct jump, cold BTB -> decode bubble only.
         let p0 = env.predict(0, &xs[0]);
         assert!(!p0.mispredicted);
@@ -448,7 +434,8 @@ mod tests {
     fn commit_is_strictly_in_order() {
         let xs = exec_insts("li x1, 1\nli x2, 2\nhalt");
         let cfg = CoreConfig::small();
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = PredictorState::new(&cfg);
+        let mut env = SingleEnv::new(&mut pred);
         assert!(env.can_commit(&xs[0]));
         assert!(!env.can_commit(&xs[1]));
         env.on_commit(0, &xs[0], 1);

@@ -45,10 +45,7 @@ pub use config::{ClusterConfig, CoreConfig, FuCounts, FuLatencies, MemDepPolicy}
 pub use core::{CommitStall, Core, CoreStats};
 pub use env::{ExecEnv, FetchGate, LoadGate, Prediction, PredictorState, SingleEnv};
 pub use fu::FuPool;
-pub use machine::{
-    run_single, run_single_recorded, run_single_warm, run_single_warm_with_sink,
-    run_single_with_sink, RunResult, WarmRun,
-};
-pub use pipeview::{InstEvents, PipeRecorder, Stage};
+pub use machine::{run_single, run_single_warm, RunResult, WarmRun};
+pub use pipeview::{InstEvents, PipeRecorder};
 pub use stream::{build_exec_stream, ExecInst, MemDep, SrcDep};
 pub use warm::WarmState;

@@ -1,13 +1,13 @@
 //! Single-core machine driver (also runs the fused Core Fusion core).
 
 use fgstp_isa::DynInst;
-use fgstp_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
+use fgstp_mem::{HierarchyConfig, HierarchyStats};
 use fgstp_telemetry::{CycleOutcome, CycleSink, NullSink};
 
 use crate::accounting::{classify_single, stat_delta};
 use crate::config::CoreConfig;
 use crate::core::{Core, CoreStats};
-use crate::env::{PredictorState, SingleEnv};
+use crate::env::SingleEnv;
 use crate::stream::build_exec_stream;
 use crate::warm::WarmState;
 
@@ -66,166 +66,78 @@ impl WarmRun {
 const DEADLOCK_CPI: u64 = 2_000;
 
 /// Runs `trace` through a single core described by `cfg` (a conventional
-/// core, or a fused Core Fusion core when `cfg` has two clusters).
+/// core, or a fused Core Fusion core when `cfg` has two clusters), from
+/// cold state: [`run_single_warm`] on a fresh [`WarmState`], measured from
+/// the first commit, with no instrumentation.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline deadlocks (a model bug, not an input condition).
 pub fn run_single(trace: &[DynInst], cfg: &CoreConfig, hcfg: &HierarchyConfig) -> RunResult {
-    run_single_recorded(trace, cfg, hcfg, None).0
+    run_single_warm(trace, cfg, &mut WarmState::new(cfg, hcfg), 0, &mut NullSink).result
 }
 
-/// Like [`run_single`], but optionally records per-instruction pipeline
-/// events (see [`crate::PipeRecorder`]) and returns the recorder.
+/// Runs `trace` through a single core entered with the long-lived state
+/// in `warm` — a fresh [`WarmState`] for a whole-trace run, or the warmed
+/// state of a sampled detailed window.
 ///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_recorded(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    recorder: Option<crate::pipeview::PipeRecorder>,
-) -> (RunResult, Option<crate::pipeview::PipeRecorder>) {
-    run_single_impl(trace, cfg, hcfg, recorder, &mut NullSink)
-}
-
-/// Like [`run_single`], but charges every cycle into `sink` (commits, or
-/// one [`fgstp_telemetry::StallCategory`] per non-commit cycle).
-///
-/// The sink observes core 0 only; timing is bit-identical to
-/// [`run_single`] because the accounting probes never mutate pipeline,
-/// predictor or cache state.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_with_sink<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    sink: &mut S,
-) -> RunResult {
-    run_single_impl(trace, cfg, hcfg, None, sink).0
-}
-
-fn run_single_impl<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    recorder: Option<crate::pipeview::PipeRecorder>,
-    sink: &mut S,
-) -> (RunResult, Option<crate::pipeview::PipeRecorder>) {
-    let mut env = SingleEnv::new(cfg);
-    let mut mem = Hierarchy::new(hcfg);
-    let (result, _, rec) = run_single_loop(trace, cfg, &mut env, &mut mem, recorder, sink, 0);
-    (result, rec)
-}
-
-/// Runs one detailed window entered mid-trace with warmed long-lived state
-/// (the sampled-simulation path).
-///
-/// The window executes on `warm.mem` and `warm.pred`; short-lived pipeline
+/// The run executes on `warm.mem` and `warm.pred`; short-lived pipeline
 /// state starts cold and ramps up during the first `measure_from` commits,
 /// whose cycles are reported separately as [`WarmRun::warmup_cycles`]. The
-/// reported `branches` and `mem` statistics are cumulative over the whole
-/// sampled run so far (they live in `warm`), not per-window.
+/// reported `branches` are this run's; the `mem` statistics are cumulative
+/// over everything `warm` has seen.
+///
+/// Every cycle (warmup included) is charged into `sink` — a commit, or one
+/// [`fgstp_telemetry::StallCategory`] per non-commit cycle — together with
+/// every pipeline stage each instruction reaches. Timing is bit-identical
+/// for every sink: the accounting probes never mutate pipeline, predictor
+/// or cache state.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_warm(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    warm: &mut WarmState,
-    measure_from: u64,
-) -> WarmRun {
-    run_single_warm_with_sink(trace, cfg, warm, measure_from, &mut NullSink)
-}
-
-/// Like [`run_single_warm`], but charges every cycle (warmup included)
-/// into `sink`.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_warm_with_sink<S: CycleSink>(
+pub fn run_single_warm<S: CycleSink>(
     trace: &[DynInst],
     cfg: &CoreConfig,
     warm: &mut WarmState,
     measure_from: u64,
     sink: &mut S,
 ) -> WarmRun {
-    let pred = std::mem::replace(&mut warm.pred, PredictorState::new(cfg));
-    let mut env = SingleEnv::with_predictor(pred);
-    let (result, warmup_cycles, _) = run_single_loop(
-        trace,
-        cfg,
-        &mut env,
-        &mut warm.mem,
-        None,
-        sink,
-        measure_from,
-    );
-    warm.pred = env.into_predictor();
-    warm.apply_writebacks(trace);
-    WarmRun {
-        result,
-        warmup_cycles,
-    }
-}
-
-/// The shared cycle loop: drives one core over `trace` against an external
-/// environment and hierarchy, returning the result, the cycle at which the
-/// `measure_from`-th commit landed, and any pipeline recorder.
-fn run_single_loop<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    env: &mut SingleEnv,
-    mem: &mut Hierarchy,
-    recorder: Option<crate::pipeview::PipeRecorder>,
-    sink: &mut S,
-    measure_from: u64,
-) -> (RunResult, u64, Option<crate::pipeview::PipeRecorder>) {
     let stream = build_exec_stream(trace);
-    let total = stream.len() as u64;
+    let mut env = SingleEnv::new(&mut warm.pred);
+    let mem = &mut warm.mem;
     let branches_before = env.branch_stats();
     let mut core = Core::new(0, cfg, &stream);
-    if let Some(r) = recorder {
-        core.set_recorder(r);
-    }
-    let cap = total * DEADLOCK_CPI + 100_000;
+    let cap = stream.len() as u64 * DEADLOCK_CPI + 100_000;
     let mut now = 0u64;
-    let mut warmup_cycles = if measure_from == 0 { 0 } else { u64::MAX };
+    let mut warmup_cycles = 0u64;
     while !core.done() {
+        // A cycle that starts before the `measure_from`-th commit is warmup.
+        if env.committed() < measure_from {
+            warmup_cycles = now + 1;
+        }
         let before = if S::ENABLED {
             *core.stats()
         } else {
             CoreStats::default()
         };
-        core.cycle(now, env, mem);
+        core.cycle(now, &mut env, mem, sink);
         if S::ENABLED {
             let d = stat_delta(&before, core.stats());
             let outcome = if d.committed > 0 {
                 CycleOutcome::Commit(d.committed as u32)
             } else {
-                let stall = core.commit_stall(env, now);
+                let stall = core.commit_stall(&mut env, now);
                 CycleOutcome::Stall(classify_single(stall, &d))
             };
             sink.record(0, now, outcome);
         }
         now += 1;
-        if warmup_cycles == u64::MAX && env.committed() >= measure_from {
-            warmup_cycles = now;
-        }
         assert!(
             now < cap,
             "single-core pipeline deadlocked at cycle {now}: {}",
             core.pipeline_snapshot()
         );
-    }
-    if warmup_cycles == u64::MAX {
-        warmup_cycles = now;
     }
     let branches_after = env.branch_stats();
     let result = RunResult {
@@ -238,7 +150,10 @@ fn run_single_loop<S: CycleSink>(
         ),
         mem: mem.stats(),
     };
-    (result, warmup_cycles, core.take_recorder())
+    WarmRun {
+        result,
+        warmup_cycles,
+    }
 }
 
 #[cfg(test)]
@@ -385,38 +300,47 @@ mod tests {
     #[test]
     fn recorded_run_captures_every_stage_in_order() {
         let t = kernel();
-        let (r, rec) = run_single_recorded(
+        let cfg = CoreConfig::small();
+        let hcfg = HierarchyConfig::small(1);
+        let mut rec = crate::pipeview::PipeRecorder::new();
+        let r = run_single_warm(
             t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            Some(crate::pipeview::PipeRecorder::new()),
-        );
-        let rec = rec.expect("recorder returned");
+            &cfg,
+            &mut WarmState::new(&cfg, &hcfg),
+            0,
+            &mut rec,
+        )
+        .result;
+        assert_eq!(r.cycles, run_single(t.insts(), &cfg, &hcfg).cycles);
         assert_eq!(rec.len() as u64, r.committed, "every instruction recorded");
-        for (gseq, _, ev) in rec.iter() {
+        for (gseq, ev) in rec.iter(0) {
             assert!(ev.is_ordered(), "stages out of order for {gseq}: {ev:?}");
-            for stage in crate::pipeview::Stage::ALL {
+            for stage in fgstp_telemetry::Stage::ALL {
                 assert!(ev.at(stage).is_some(), "{gseq} missing {stage:?}");
             }
             // Commit never exceeds the run length.
             assert!(ev.commit.unwrap() <= r.cycles);
         }
         // The rendered view of the first instructions is non-trivial.
-        let view = rec.render(0, 8);
+        let view = rec.render(t.insts(), 0, 0, 8);
         assert!(view.lines().count() >= 9, "{view}");
     }
 
     #[test]
     fn sink_accounts_every_cycle_without_changing_timing() {
         let t = kernel();
-        let plain = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+        let cfg = CoreConfig::small();
+        let hcfg = HierarchyConfig::small(1);
+        let plain = run_single(t.insts(), &cfg, &hcfg);
         let mut sink = fgstp_telemetry::CpiSink::new(1);
-        let r = run_single_with_sink(
+        let r = run_single_warm(
             t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
+            &cfg,
+            &mut WarmState::new(&cfg, &hcfg),
+            0,
             &mut sink,
-        );
+        )
+        .result;
         assert_eq!(r.cycles, plain.cycles, "telemetry must not change timing");
         assert_eq!(r.committed, plain.committed);
         let stack = sink.merged();
@@ -427,17 +351,5 @@ mod tests {
             stack.total_cycles() > stack.base_cycles,
             "a real kernel stalls somewhere"
         );
-    }
-
-    #[test]
-    fn unrecorded_run_returns_no_recorder() {
-        let t = kernel();
-        let (_, rec) = run_single_recorded(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            None,
-        );
-        assert!(rec.is_none());
     }
 }

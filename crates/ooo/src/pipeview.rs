@@ -1,51 +1,15 @@
 //! Per-instruction pipeline event recording and a text "pipeview".
 //!
-//! When a [`PipeRecorder`] is attached to a run, every instruction's
-//! fetch / dispatch / issue / complete / commit cycles are captured. The
-//! recorder renders a gem5-O3-style timeline for inspection, and exposes
-//! the raw events for programmatic assertions (several integration tests
-//! pin stage-ordering invariants through it).
+//! A [`PipeRecorder`] is a [`CycleSink`]: pass it as the sink of a run and
+//! every instruction's fetch / dispatch / issue / complete / commit cycles
+//! are captured, per core. The recorder renders a gem5-O3-style timeline
+//! for inspection, and exposes the raw events for programmatic assertions
+//! (several tests pin stage-ordering invariants through it).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use fgstp_isa::Inst;
-
-/// The pipeline stages recorded per instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Instruction entered the pipeline from the fetch stream.
-    Fetch,
-    /// Instruction was renamed and entered the ROB/IQ.
-    Dispatch,
-    /// Instruction was selected and began execution.
-    Issue,
-    /// Result became available.
-    Complete,
-    /// Instruction retired.
-    Commit,
-}
-
-impl Stage {
-    /// All stages in pipeline order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Fetch,
-        Stage::Dispatch,
-        Stage::Issue,
-        Stage::Complete,
-        Stage::Commit,
-    ];
-
-    /// Single-character marker used by the timeline renderer.
-    pub fn marker(self) -> char {
-        match self {
-            Stage::Fetch => 'f',
-            Stage::Dispatch => 'd',
-            Stage::Issue => 'i',
-            Stage::Complete => 'c',
-            Stage::Commit => 'r',
-        }
-    }
-}
+use fgstp_isa::DynInst;
+use fgstp_telemetry::{CycleOutcome, CycleSink, Stage};
 
 /// Recorded events for one dynamic instruction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,11 +67,11 @@ impl InstEvents {
 
 /// Records pipeline events for the instructions of one run.
 ///
-/// Attach with [`crate::Core::set_recorder`]; retrieve with
-/// [`crate::Core::take_recorder`].
+/// Events are keyed by core and global sequence number, so a replicated
+/// instruction has one row on every core that holds a copy.
 #[derive(Debug, Default)]
 pub struct PipeRecorder {
-    events: HashMap<u64, (Inst, InstEvents)>,
+    events: BTreeMap<(usize, u64), InstEvents>,
     /// Record only instructions with `gseq < limit` (0 = record all).
     limit: u64,
 }
@@ -122,29 +86,17 @@ impl PipeRecorder {
     /// bounding memory for long runs.
     pub fn with_limit(limit: u64) -> PipeRecorder {
         PipeRecorder {
-            events: HashMap::new(),
+            events: BTreeMap::new(),
             limit,
         }
     }
 
-    /// Records `stage` of instruction `gseq` at `cycle`.
-    pub fn record(&mut self, gseq: u64, inst: Inst, stage: Stage, cycle: u64) {
-        if self.limit != 0 && gseq >= self.limit {
-            return;
-        }
-        self.events
-            .entry(gseq)
-            .or_insert((inst, InstEvents::default()))
-            .1
-            .set(stage, cycle);
+    /// Events of instruction `gseq` on `core`, if recorded.
+    pub fn events(&self, core: usize, gseq: u64) -> Option<&InstEvents> {
+        self.events.get(&(core, gseq))
     }
 
-    /// Events of instruction `gseq`, if recorded.
-    pub fn events(&self, gseq: u64) -> Option<&InstEvents> {
-        self.events.get(&gseq).map(|(_, e)| e)
-    }
-
-    /// Number of instructions with any recorded event.
+    /// Number of (core, instruction) rows with any recorded event.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -154,40 +106,34 @@ impl PipeRecorder {
         self.events.is_empty()
     }
 
-    /// Iterates `(gseq, inst, events)` in program order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Inst, &InstEvents)> {
-        let mut keys: Vec<u64> = self.events.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter().map(move |k| {
-            let (inst, ev) = &self.events[&k];
-            (k, inst, ev)
-        })
+    /// Iterates `(gseq, events)` of the instructions `core` held, in
+    /// program order.
+    pub fn iter(&self, core: usize) -> impl Iterator<Item = (u64, &InstEvents)> {
+        self.events
+            .range((core, 0)..=(core, u64::MAX))
+            .map(|(&(_, gseq), ev)| (gseq, ev))
     }
 
-    /// Renders a text timeline of instructions `from..to` (gem5-O3
-    /// pipeview style): one row per instruction, one column per cycle,
-    /// markers `f d i c r` for the stages.
-    pub fn render(&self, from: u64, to: u64) -> String {
-        let rows: Vec<(u64, &Inst, &InstEvents)> = self
-            .iter()
-            .filter(|(g, _, _)| (from..to).contains(g))
+    /// Renders a text timeline of `core`'s instructions `from..to`
+    /// (gem5-O3 pipeview style): one row per instruction, one column per
+    /// cycle, markers `f d i c r` for the stages. Each row's instruction
+    /// is looked up by `gseq` in `trace`, the trace the run executed.
+    pub fn render(&self, trace: &[DynInst], core: usize, from: u64, to: u64) -> String {
+        let rows: Vec<(u64, &InstEvents)> = self
+            .iter(core)
+            .filter(|(g, _)| (from..to).contains(g))
             .collect();
-        let Some(min_cycle) = rows
-            .iter()
-            .flat_map(|(_, _, e)| Stage::ALL.iter().filter_map(|&s| e.at(s)))
-            .min()
-        else {
+        let cycles = || {
+            rows.iter()
+                .flat_map(|(_, e)| Stage::ALL.iter().filter_map(|&s| e.at(s)))
+        };
+        let (Some(min_cycle), Some(max_cycle)) = (cycles().min(), cycles().max()) else {
             return String::from("(no events recorded in range)\n");
         };
-        let max_cycle = rows
-            .iter()
-            .flat_map(|(_, _, e)| Stage::ALL.iter().filter_map(|&s| e.at(s)))
-            .max()
-            .expect("min implies max");
         let span = (max_cycle - min_cycle + 1) as usize;
         let mut out = String::new();
         out.push_str(&format!("cycles {min_cycle}..={max_cycle}\n"));
-        for (gseq, inst, ev) in rows {
+        for (gseq, ev) in rows {
             let mut lane = vec!['.'; span];
             for stage in Stage::ALL {
                 if let Some(c) = ev.at(stage) {
@@ -200,32 +146,44 @@ impl PipeRecorder {
                 }
             }
             let lane: String = lane.into_iter().collect();
+            let inst = trace[gseq as usize].inst;
             out.push_str(&format!("[{gseq:>6}] {lane}  {inst}\n"));
         }
         out
     }
 }
 
+impl CycleSink for PipeRecorder {
+    const ENABLED: bool = true;
+
+    fn record(&mut self, _core: usize, _now: u64, _outcome: CycleOutcome) {}
+
+    fn stage(&mut self, core: usize, gseq: u64, stage: Stage, cycle: u64) {
+        if self.limit != 0 && gseq >= self.limit {
+            return;
+        }
+        self.events
+            .entry((core, gseq))
+            .or_default()
+            .set(stage, cycle);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgstp_isa::{Op, Reg};
-
-    fn inst() -> Inst {
-        Inst::rri(Op::Addi, Reg::int(1), Reg::int(1), 1)
-    }
+    use fgstp_isa::{assemble, trace_program};
 
     #[test]
     fn events_record_and_order() {
         let mut r = PipeRecorder::new();
-        r.record(0, inst(), Stage::Fetch, 1);
-        r.record(0, inst(), Stage::Dispatch, 4);
-        r.record(0, inst(), Stage::Issue, 5);
-        r.record(0, inst(), Stage::Complete, 6);
-        r.record(0, inst(), Stage::Commit, 7);
-        let e = r.events(0).unwrap();
+        for (stage, cycle) in Stage::ALL.into_iter().zip([1, 4, 5, 6, 7]) {
+            r.stage(0, 0, stage, cycle);
+        }
+        let e = r.events(0, 0).unwrap();
         assert!(e.is_ordered());
         assert_eq!(e.at(Stage::Issue), Some(5));
+        assert!(r.events(1, 0).is_none(), "rows are per core");
     }
 
     #[test]
@@ -240,38 +198,42 @@ mod tests {
     fn limit_bounds_recording() {
         let mut r = PipeRecorder::with_limit(2);
         for g in 0..10 {
-            r.record(g, inst(), Stage::Fetch, g);
+            r.stage(0, g, Stage::Fetch, g);
         }
         assert_eq!(r.len(), 2);
-        assert!(r.events(5).is_none());
+        assert!(r.events(0, 5).is_none());
     }
 
     #[test]
     fn render_shows_markers_in_columns() {
+        let p = assemble("li x1, 1\nli x2, 2\nhalt").unwrap();
+        let t = trace_program(&p, 100).unwrap();
         let mut r = PipeRecorder::new();
-        r.record(0, inst(), Stage::Fetch, 0);
-        r.record(0, inst(), Stage::Commit, 4);
-        r.record(1, inst(), Stage::Fetch, 1);
-        let view = r.render(0, 2);
+        r.stage(0, 0, Stage::Fetch, 0);
+        r.stage(0, 0, Stage::Commit, 4);
+        r.stage(0, 1, Stage::Fetch, 1);
+        let view = r.render(t.insts(), 0, 0, 2);
         let lines: Vec<&str> = view.lines().collect();
         assert!(lines[0].contains("0..=4"));
         assert!(lines[1].contains("f...r"), "{view}");
         assert!(lines[2].contains(".f..."), "{view}");
+        assert!(lines[2].ends_with(&t.insts()[1].inst.to_string()), "{view}");
     }
 
     #[test]
     fn render_of_empty_range_is_graceful() {
         let r = PipeRecorder::new();
-        assert!(r.render(0, 10).contains("no events"));
+        assert!(r.render(&[], 0, 0, 10).contains("no events"));
     }
 
     #[test]
     fn iter_is_in_program_order() {
         let mut r = PipeRecorder::new();
         for g in [5u64, 1, 3] {
-            r.record(g, inst(), Stage::Fetch, g);
+            r.stage(0, g, Stage::Fetch, g);
         }
-        let order: Vec<u64> = r.iter().map(|(g, _, _)| g).collect();
+        r.stage(1, 2, Stage::Fetch, 2);
+        let order: Vec<u64> = r.iter(0).map(|(g, _)| g).collect();
         assert_eq!(order, vec![1, 3, 5]);
     }
 }

@@ -30,7 +30,8 @@ pub struct WarmState {
     /// The branch-predictor bundle (direction predictor, BTB, RAS) with
     /// cumulative `branches`/`mispredicts` counters over all phases.
     pub pred: PredictorState,
-    /// Architectural register file after every instruction retired so far.
+    /// Architectural register file after every instruction functionally
+    /// retired so far (detailed windows do not update it).
     pub regs: [u64; NUM_REGS],
 }
 
@@ -114,16 +115,6 @@ impl WarmState {
             ));
         }
         Ok(w)
-    }
-
-    /// Applies the register writebacks of `insts` without touching caches
-    /// or predictors — used after a *detailed* window (which already
-    /// simulated its memory and control traffic) to keep the architectural
-    /// snapshot current.
-    pub fn apply_writebacks(&mut self, insts: &[DynInst]) {
-        for d in insts {
-            self.apply_writeback(d);
-        }
     }
 
     fn apply_writeback(&mut self, d: &DynInst) {
@@ -237,18 +228,5 @@ mod tests {
         // Wrong machine shape fails.
         let hcfg2 = fgstp_mem::HierarchyConfig::small(2);
         assert!(WarmState::from_state_bytes(&cfg, &hcfg2, &bytes).is_err());
-    }
-
-    #[test]
-    fn writeback_only_path_leaves_caches_untouched() {
-        let src = "li x1, 3\nli x2, 4\nhalt";
-        let p = assemble(src).unwrap();
-        let t = trace_program(&p, 100).unwrap();
-        let mut w = WarmState::new(&CoreConfig::small(), &fgstp_mem::HierarchyConfig::small(1));
-        w.apply_writebacks(t.insts());
-        assert_eq!(w.regs[1], 3);
-        assert_eq!(w.regs[2], 4);
-        assert_eq!(w.mem.stats().l1i[0].accesses, 0);
-        assert_eq!(w.pred.branches, 0);
     }
 }

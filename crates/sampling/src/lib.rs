@@ -8,7 +8,7 @@
 //!
 //! A sampled run is split into two phases:
 //!
-//! 1. **Planning** ([`SamplePlan::plan_stream`]): one pass of continuous
+//! 1. **Planning** ([`SamplePlan::plan`]): one pass of continuous
 //!    functional warming over the *entire* trace — every instruction
 //!    retires through the [`fgstp_ooo::WarmState`] fast path, updating
 //!    only the long-lived microarchitectural state (cache hierarchy,
@@ -16,19 +16,19 @@
 //!    detailed-window boundary the warm state is serialized into the
 //!    window's [`WindowJob`] (a *live-point*), so every window carries an
 //!    immutable byte-for-byte copy of its pre-window machine state.
-//! 2. **Execution** ([`run_plan_single`] and friends): each window
-//!    deserializes its own private warm state and runs `warmup + detail`
-//!    instructions on the full timing machine (single-core or N-core
-//!    Fg-STP). The first [`SampleConfig::warmup`] commits absorb the
-//!    cold-pipeline ramp and their cycles are discarded; the remaining
-//!    [`SampleConfig::detail`] instructions are the **measurement**.
+//! 2. **Execution** ([`run_plan`]): each window deserializes its own
+//!    private warm state and runs `warmup + detail` instructions on the
+//!    full [`TimingModel`] (single-core or N-core Fg-STP). The first
+//!    [`SampleConfig::warmup`] commits absorb the cold-pipeline ramp and
+//!    their cycles are discarded; the remaining [`SampleConfig::detail`]
+//!    instructions are the **measurement**.
 //!
 //! Because windows never share mutable state, they can run in any order
-//! or concurrently — the `_with` execution variants accept a pool hook —
-//! and the merged results are bit-identical to the serial walk at any
-//! pool size. The serialized live-points are also exactly what the
-//! `fgstp-tracefile` snapshot cache persists: a re-run of a swept config
-//! converts the stored [`SnapshotData`] back into a plan with
+//! or concurrently — [`run_plan`] accepts a pool hook — and the merged
+//! results are bit-identical to the serial walk at any pool size. The
+//! serialized live-points are also exactly what the `fgstp-tracefile`
+//! snapshot cache persists: a re-run of a swept config converts the
+//! stored [`SnapshotData`] back into a plan with
 //! [`SamplePlan::plan_replay`] and skips functional warming entirely.
 //!
 //! Per-interval CPIs aggregate into a point estimate with a 95%
@@ -41,18 +41,16 @@
 //! use fgstp_isa::trace_program;
 //! use fgstp_ooo::CoreConfig;
 //! use fgstp_mem::HierarchyConfig;
-//! use fgstp_sampling::{sample_single, SampleConfig};
+//! use fgstp_sampling::{run_plan, SampleConfig, SamplePlan, TimingModel};
+//! use fgstp_telemetry::NullSink;
 //! use fgstp_workloads::{by_name, Scale};
 //!
 //! let w = by_name("hmmer_dp", Scale::Test).unwrap();
 //! let trace = trace_program(w.program(), Scale::Test.trace_budget()).unwrap();
 //! let scfg = SampleConfig { interval: 2_000, warmup: 300, detail: 150 };
-//! let run = sample_single(
-//!     trace.insts(),
-//!     &CoreConfig::small(),
-//!     &HierarchyConfig::small(1),
-//!     &scfg,
-//! );
+//! let (cfg, hcfg) = (CoreConfig::small(), HierarchyConfig::small(1));
+//! let plan = SamplePlan::plan(trace.insts().iter().copied(), &cfg, &hcfg, &scfg);
+//! let run = run_plan(&plan, TimingModel::Single(&cfg), &hcfg, None, &mut NullSink);
 //! assert!(run.detail_reduction() > 2.0);
 //! assert!(run.est_cycles() > 0.0);
 //! ```
@@ -61,11 +59,11 @@ pub mod stats;
 
 use std::collections::VecDeque;
 
-use fgstp::{run_fgstp_warm, run_fgstp_warm_with_sink, FgstpConfig};
+use fgstp::{run_fgstp_warm, FgstpConfig};
 use fgstp_isa::DynInst;
 use fgstp_mem::{HierarchyConfig, HierarchyStats};
-use fgstp_ooo::{run_single_warm, run_single_warm_with_sink, CoreConfig, WarmRun, WarmState};
-use fgstp_telemetry::{CpiSink, CpiStack};
+use fgstp_ooo::{run_single_warm, CoreConfig, WarmRun, WarmState};
+use fgstp_telemetry::{CycleSink, NullSink};
 
 pub use stats::{geomean_estimate, Estimate, Z95};
 
@@ -255,9 +253,9 @@ pub struct SnapshotData {
 
 impl SnapshotData {
     /// Whether the snapshot's window placement matches the schedule that
-    /// (`total`, `scfg`) implies. Callers check this *before* consuming a
-    /// trace stream, so a stale or mismatched snapshot degrades to cold
-    /// planning with the stream intact.
+    /// (`total`, `scfg`) implies. Callers check this *before* consuming
+    /// the trace, so a stale or mismatched snapshot degrades to cold
+    /// planning with the trace intact.
     pub fn matches(&self, total: u64, scfg: &SampleConfig) -> bool {
         if self.total_insts != total {
             return false;
@@ -275,7 +273,7 @@ impl SnapshotData {
     /// deserializing cleanly for the machine shape (`cfg`, `hcfg`). Like
     /// [`SnapshotData::matches`] this needs no trace data, so a snapshot
     /// whose payloads are malformed (or were taken on a different machine
-    /// shape) is rejected before any stream is consumed.
+    /// shape) is rejected before any trace is consumed.
     pub fn validate(
         &self,
         total: u64,
@@ -293,23 +291,12 @@ impl SnapshotData {
 }
 
 impl SamplePlan {
-    /// Plans a sampled run over a trace slice; see
-    /// [`SamplePlan::plan_stream`].
-    pub fn plan(
-        trace: &[DynInst],
-        cfg: &CoreConfig,
-        hcfg: &HierarchyConfig,
-        scfg: &SampleConfig,
-    ) -> SamplePlan {
-        SamplePlan::plan_stream(trace.iter().copied(), cfg, hcfg, scfg)
-    }
-
     /// Plans a sampled run by one pass of continuous functional warming:
     /// every instruction retires through the warm fast path exactly once,
     /// and the warm state is serialized into a live-point at each window
     /// boundary. Holds at most one window (`warmup + detail`
     /// instructions) of the trace in flight beyond the plan itself.
-    pub fn plan_stream(
+    pub fn plan(
         trace: impl IntoIterator<Item = DynInst>,
         cfg: &CoreConfig,
         hcfg: &HierarchyConfig,
@@ -489,8 +476,6 @@ pub struct SampledRun {
     /// Cache-hierarchy statistics over the whole trace (functional
     /// warming traffic).
     pub mem: HierarchyStats,
-    /// Merged CPI stack over all detailed windows, when instrumented.
-    pub cpi_stack: Option<CpiStack>,
 }
 
 impl SampledRun {
@@ -548,54 +533,103 @@ impl SampledRun {
     }
 }
 
-/// Runs one window of a plan on the single-core machine, on a private
-/// deserialized copy of the window's live-point. Pure: no shared state is
-/// touched, so any number of windows may run concurrently.
-///
-/// # Panics
-///
-/// Panics if the live-point does not deserialize for this machine shape —
-/// impossible for plan-produced jobs, and snapshot-replayed jobs are
-/// validated up front by [`SnapshotData::validate`].
-pub fn run_window_single(job: &WindowJob, cfg: &CoreConfig, hcfg: &HierarchyConfig) -> WarmRun {
-    let mut warm = WarmState::from_state_bytes(cfg, hcfg, &job.state)
-        .expect("live-point matches the plan's machine shape");
-    run_single_warm(&job.insts, cfg, &mut warm, job.measure_from)
+/// The timing model a plan's detailed windows execute on.
+#[derive(Debug, Clone, Copy)]
+pub enum TimingModel<'a> {
+    /// A single core, or a fused Core Fusion core.
+    Single(&'a CoreConfig),
+    /// The N-core Fg-STP machine.
+    Fgstp(&'a FgstpConfig),
 }
 
-/// Runs one window of a plan on the N-core Fg-STP machine; see
-/// [`run_window_single`].
-///
-/// # Panics
-///
-/// Panics if the live-point does not deserialize for this machine shape.
-pub fn run_window_fgstp(job: &WindowJob, cfg: &FgstpConfig, hcfg: &HierarchyConfig) -> WarmRun {
-    let mut warm = WarmState::from_state_bytes(&cfg.core, hcfg, &job.state)
-        .expect("live-point matches the plan's machine shape");
-    run_fgstp_warm(&job.insts, cfg, &mut warm, job.measure_from).0
+impl TimingModel<'_> {
+    /// The per-core configuration the model's live-points are warmed with.
+    pub fn core(&self) -> &CoreConfig {
+        match self {
+            TimingModel::Single(cfg) => cfg,
+            TimingModel::Fgstp(cfg) => &cfg.core,
+        }
+    }
+
+    /// Cores the model occupies.
+    pub fn cores(&self) -> usize {
+        match self {
+            TimingModel::Single(_) => 1,
+            TimingModel::Fgstp(cfg) => cfg.num_cores,
+        }
+    }
+
+    /// Runs one window on a private deserialized copy of its live-point.
+    /// Pure: no shared state is touched, so any number of windows may run
+    /// concurrently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the live-point does not deserialize for this machine
+    /// shape — impossible for plan-produced jobs, and snapshot-replayed
+    /// jobs are validated up front by [`SnapshotData::validate`].
+    fn run_window<S: CycleSink>(
+        &self,
+        job: &WindowJob,
+        hcfg: &HierarchyConfig,
+        sink: &mut S,
+    ) -> WarmRun {
+        let mut warm = WarmState::from_state_bytes(self.core(), hcfg, &job.state)
+            .expect("live-point matches the plan's machine shape");
+        match self {
+            TimingModel::Single(cfg) => {
+                run_single_warm(&job.insts, cfg, &mut warm, job.measure_from, sink)
+            }
+            TimingModel::Fgstp(cfg) => {
+                run_fgstp_warm(&job.insts, cfg, &mut warm, job.measure_from, sink).0
+            }
+        }
+    }
 }
 
-/// The execution hook type: given the plan's jobs and a pure per-window
-/// runner, produce one [`WarmRun`] per job **in job order**. The default
-/// is a serial map; `fgstp-sim` passes a thread-pool fan-out. Because the
-/// runner is pure, every implementation that preserves order is
-/// bit-identical.
+/// A pure per-window runner, handed to a [`WindowPool`].
 pub type WindowExec<'a> = &'a (dyn Fn(&WindowJob) -> WarmRun + Sync);
 
-fn serial_exec(jobs: &[WindowJob], run: WindowExec) -> Vec<WarmRun> {
-    jobs.iter().map(run).collect()
-}
+/// A window-dispatch hook: executes each pure [`WindowJob`] through the
+/// provided [`WindowExec`] — possibly concurrently — and returns one
+/// [`WarmRun`] per job **in job order**. Because the runner is pure, every
+/// implementation that preserves order is bit-identical.
+pub type WindowPool<'a> = &'a (dyn Fn(&[WindowJob], WindowExec) -> Vec<WarmRun> + Sync);
 
-/// Merges per-window results into a [`SampledRun`], in schedule order.
-fn finish_plan(
+/// Executes a plan's detailed windows on `model` over hierarchies shaped
+/// by `hcfg`, and merges them into a [`SampledRun`] in schedule order.
+///
+/// An enabled `sink` (e.g. a CPI sink, whose stacks then cover every
+/// detailed window, warmup cycles included) is shared, so the windows run
+/// serially through it. Otherwise `pool` dispatches them — the session
+/// passes its worker pool — and `None` runs them serially. The windows are
+/// pure either way, so every pool size and every sink yields bit-identical
+/// results.
+///
+/// # Panics
+///
+/// Panics if `hcfg` does not describe `model`'s cores.
+pub fn run_plan<S: CycleSink>(
     plan: &SamplePlan,
-    results: Vec<WarmRun>,
-    cores: u64,
-    cfg: &CoreConfig,
+    model: TimingModel,
     hcfg: &HierarchyConfig,
-    cpi_stack: Option<CpiStack>,
+    pool: Option<WindowPool>,
+    sink: &mut S,
 ) -> SampledRun {
+    let results: Vec<WarmRun> = if S::ENABLED {
+        plan.jobs
+            .iter()
+            .map(|job| model.run_window(job, hcfg, sink))
+            .collect()
+    } else {
+        let run = |job: &WindowJob| model.run_window(job, hcfg, &mut NullSink);
+        match pool {
+            Some(pool) => pool(&plan.jobs, &run),
+            None => plan.jobs.iter().map(run).collect(),
+        }
+    };
     assert_eq!(results.len(), plan.jobs.len(), "one result per window");
+    let cores = model.cores() as u64;
     let mut intervals = Vec::with_capacity(plan.jobs.len());
     let mut measured_insts = 0u64;
     let mut detailed_insts = 0u64;
@@ -610,7 +644,7 @@ fn finish_plan(
         detailed_insts += job.insts.len() as u64;
         detail_core_cycles += wr.result.cycles * cores;
     }
-    let final_warm = WarmState::from_state_bytes(cfg, hcfg, &plan.final_state)
+    let final_warm = WarmState::from_state_bytes(model.core(), hcfg, &plan.final_state)
         .expect("final state matches the plan's machine shape");
     let cpis: Vec<f64> = intervals.iter().map(IntervalMeasure::cpi).collect();
     SampledRun {
@@ -626,184 +660,7 @@ fn finish_plan(
         detail_core_cycles,
         branches: (final_warm.pred.branches, final_warm.pred.mispredicts),
         mem: final_warm.mem.stats(),
-        cpi_stack,
     }
-}
-
-/// Executes a plan on the single-core machine, serially.
-pub fn run_plan_single(plan: &SamplePlan, cfg: &CoreConfig, hcfg: &HierarchyConfig) -> SampledRun {
-    run_plan_single_with(plan, cfg, hcfg, serial_exec)
-}
-
-/// Executes a plan on the single-core machine through a caller-supplied
-/// execution hook (e.g. a thread pool). The hook must return results in
-/// job order; windows are pure, so results are bit-identical to
-/// [`run_plan_single`] for any pool size.
-pub fn run_plan_single_with<E>(
-    plan: &SamplePlan,
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    exec: E,
-) -> SampledRun
-where
-    E: FnOnce(&[WindowJob], WindowExec) -> Vec<WarmRun>,
-{
-    let results = exec(&plan.jobs, &|job| run_window_single(job, cfg, hcfg));
-    finish_plan(plan, results, 1, cfg, hcfg, None)
-}
-
-/// Executes a plan on the N-core Fg-STP machine, serially.
-pub fn run_plan_fgstp(plan: &SamplePlan, cfg: &FgstpConfig, hcfg: &HierarchyConfig) -> SampledRun {
-    run_plan_fgstp_with(plan, cfg, hcfg, serial_exec)
-}
-
-/// Executes a plan on the N-core Fg-STP machine through a caller-supplied
-/// execution hook; see [`run_plan_single_with`].
-pub fn run_plan_fgstp_with<E>(
-    plan: &SamplePlan,
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    exec: E,
-) -> SampledRun
-where
-    E: FnOnce(&[WindowJob], WindowExec) -> Vec<WarmRun>,
-{
-    let results = exec(&plan.jobs, &|job| run_window_fgstp(job, cfg, hcfg));
-    finish_plan(plan, results, cfg.num_cores as u64, &cfg.core, hcfg, None)
-}
-
-/// Executes a plan on the single-core machine, serially, aggregating a
-/// CPI stack over every detailed window (warmup cycles included).
-/// Instrumented runs stay serial — the sink is shared — but the windows
-/// themselves are still pure, so the cycle results match the
-/// uninstrumented path exactly.
-pub fn run_plan_single_instrumented(
-    plan: &SamplePlan,
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-) -> SampledRun {
-    let mut sink = CpiSink::new(1);
-    let results: Vec<WarmRun> = plan
-        .jobs
-        .iter()
-        .map(|job| {
-            let mut warm = WarmState::from_state_bytes(cfg, hcfg, &job.state)
-                .expect("live-point matches the plan's machine shape");
-            run_single_warm_with_sink(&job.insts, cfg, &mut warm, job.measure_from, &mut sink)
-        })
-        .collect();
-    finish_plan(plan, results, 1, cfg, hcfg, Some(sink.merged()))
-}
-
-/// Executes a plan on the N-core Fg-STP machine, serially, aggregating a
-/// CPI stack (all cores merged); see [`run_plan_single_instrumented`].
-pub fn run_plan_fgstp_instrumented(
-    plan: &SamplePlan,
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-) -> SampledRun {
-    let mut sink = CpiSink::new(cfg.num_cores);
-    let results: Vec<WarmRun> = plan
-        .jobs
-        .iter()
-        .map(|job| {
-            let mut warm = WarmState::from_state_bytes(&cfg.core, hcfg, &job.state)
-                .expect("live-point matches the plan's machine shape");
-            run_fgstp_warm_with_sink(&job.insts, cfg, &mut warm, job.measure_from, &mut sink).0
-        })
-        .collect();
-    finish_plan(
-        plan,
-        results,
-        cfg.num_cores as u64,
-        &cfg.core,
-        hcfg,
-        Some(sink.merged()),
-    )
-}
-
-/// Sampled run on a single core (or a fused Core Fusion core).
-pub fn sample_single(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, cfg, hcfg, scfg);
-    run_plan_single(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_single`], but consumes the trace as a stream (e.g. a
-/// streaming trace-file reader) without ever materializing it. Produces
-/// bit-identical results to the slice path — they share one planner.
-pub fn sample_single_stream(
-    trace: impl IntoIterator<Item = DynInst>,
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan_stream(trace, cfg, hcfg, scfg);
-    run_plan_single(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_single`], but additionally aggregates a CPI stack over
-/// every detailed window (warmup cycles included); reconcile it with
-/// [`SampledRun::detail_core_cycles`].
-pub fn sample_single_instrumented(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, cfg, hcfg, scfg);
-    run_plan_single_instrumented(&plan, cfg, hcfg)
-}
-
-/// Sampled run on the N-core Fg-STP machine.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores.
-pub fn sample_fgstp(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, &cfg.core, hcfg, scfg);
-    run_plan_fgstp(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_fgstp`], but consumes the trace as a stream; see
-/// [`sample_single_stream`].
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores.
-pub fn sample_fgstp_stream(
-    trace: impl IntoIterator<Item = DynInst>,
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan_stream(trace, &cfg.core, hcfg, scfg);
-    run_plan_fgstp(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_fgstp`], but additionally aggregates a CPI stack (all
-/// cores merged) over every detailed window.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores.
-pub fn sample_fgstp_instrumented(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, &cfg.core, hcfg, scfg);
-    run_plan_fgstp_instrumented(&plan, cfg, hcfg)
 }
 
 #[cfg(test)]
@@ -811,6 +668,7 @@ mod tests {
     use super::*;
     use fgstp_isa::{assemble, trace_program, Trace};
     use fgstp_ooo::run_single;
+    use fgstp_telemetry::CpiSink;
 
     fn loop_trace(iters: u64) -> Trace {
         let src = format!(
@@ -839,6 +697,29 @@ mod tests {
         }
     }
 
+    /// Plans and runs a sampled run of `t` on `model`, through `sink`.
+    fn sample_with<S: CycleSink>(
+        t: &Trace,
+        model: TimingModel,
+        hcfg: &HierarchyConfig,
+        scfg: &SampleConfig,
+        sink: &mut S,
+    ) -> SampledRun {
+        let plan = SamplePlan::plan(t.insts().iter().copied(), model.core(), hcfg, scfg);
+        run_plan(&plan, model, hcfg, None, sink)
+    }
+
+    fn sample_small(t: &Trace, scfg: &SampleConfig) -> SampledRun {
+        let cfg = CoreConfig::small();
+        let hcfg = HierarchyConfig::small(1);
+        sample_with(t, TimingModel::Single(&cfg), &hcfg, scfg, &mut NullSink)
+    }
+
+    fn plan_single(t: &Trace) -> SamplePlan {
+        let (cfg, hcfg) = (CoreConfig::small(), HierarchyConfig::small(1));
+        SamplePlan::plan(t.insts().iter().copied(), &cfg, &hcfg, &scfg())
+    }
+
     fn fingerprint(r: &SampledRun) -> String {
         format!(
             "{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}",
@@ -856,12 +737,7 @@ mod tests {
     #[test]
     fn every_instruction_is_accounted_exactly_once() {
         let t = loop_trace(2_000);
-        let r = sample_single(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &scfg(),
-        );
+        let r = sample_small(&t, &scfg());
         assert_eq!(r.total_insts, t.len() as u64);
         assert_eq!(r.functional_insts + r.detailed_insts, r.total_insts);
         assert_eq!(r.intervals.len(), (t.len() as u64 / 1_000) as usize);
@@ -874,12 +750,7 @@ mod tests {
     fn sampled_estimate_tracks_the_full_run_on_a_steady_loop() {
         let t = loop_trace(2_000);
         let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-        let r = sample_single(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &scfg(),
-        );
+        let r = sample_small(&t, &scfg());
         let err = (r.est_cycles() - full.cycles as f64).abs() / full.cycles as f64;
         assert!(err < 0.05, "estimate off by {:.2}% ", err * 100.0);
         assert!(r.cpi.cov < 0.5, "steady loop, cov {}", r.cpi.cov);
@@ -889,12 +760,7 @@ mod tests {
     fn short_trace_degenerates_to_full_detail() {
         let t = loop_trace(10);
         let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-        let r = sample_single(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &SampleConfig::default(),
-        );
+        let r = sample_small(&t, &SampleConfig::default());
         assert_eq!(r.intervals.len(), 1);
         assert_eq!(r.detailed_insts, r.total_insts);
         assert_eq!(r.est_cycles(), full.cycles as f64);
@@ -905,25 +771,18 @@ mod tests {
     fn branch_totals_cover_the_whole_trace() {
         let t = loop_trace(2_000);
         let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-        let r = sample_single(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &scfg(),
-        );
+        let r = sample_small(&t, &scfg());
         assert_eq!(r.branches.0, full.branches.0, "every branch predicted once");
     }
 
     #[test]
     fn instrumented_stack_reconciles_with_detailed_cycles() {
         let t = loop_trace(2_000);
-        let r = sample_single_instrumented(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &scfg(),
-        );
-        let stack = r.cpi_stack.as_ref().expect("instrumented");
+        let cfg = CoreConfig::small();
+        let hcfg = HierarchyConfig::small(1);
+        let mut sink = CpiSink::new(1);
+        let r = sample_with(&t, TimingModel::Single(&cfg), &hcfg, &scfg(), &mut sink);
+        let stack = sink.merged();
         stack.check_against(r.detail_core_cycles).unwrap();
         assert_eq!(stack.committed, r.detailed_insts);
     }
@@ -932,39 +791,41 @@ mod tests {
     fn instrumented_cycles_match_the_uninstrumented_path() {
         let t = loop_trace(2_000);
         let cfg = CoreConfig::small();
-        let hcfg = HierarchyConfig::small(1);
-        let plain = sample_single(t.insts(), &cfg, &hcfg, &scfg());
-        let inst = sample_single_instrumented(t.insts(), &cfg, &hcfg, &scfg());
-        assert_eq!(inst.intervals, plain.intervals);
-        assert_eq!(inst.detail_core_cycles, plain.detail_core_cycles);
+        let fcfg = FgstpConfig::small();
+        for (model, hcfg) in [
+            (TimingModel::Single(&cfg), HierarchyConfig::small(1)),
+            (TimingModel::Fgstp(&fcfg), HierarchyConfig::small(2)),
+        ] {
+            let plain = sample_with(&t, model, &hcfg, &scfg(), &mut NullSink);
+            let mut sink = CpiSink::new(model.cores());
+            let inst = sample_with(&t, model, &hcfg, &scfg(), &mut sink);
+            assert_eq!(inst.intervals, plain.intervals, "{model:?}");
+            assert_eq!(
+                inst.detail_core_cycles, plain.detail_core_cycles,
+                "{model:?}"
+            );
+        }
     }
 
     #[test]
     fn fgstp_sampling_completes_and_reconciles() {
         let t = loop_trace(2_000);
         let cfg = FgstpConfig::small();
-        let r = sample_fgstp_instrumented(t.insts(), &cfg, &HierarchyConfig::small(2), &scfg());
+        let hcfg = HierarchyConfig::small(2);
+        let mut sink = CpiSink::new(2);
+        let r = sample_with(&t, TimingModel::Fgstp(&cfg), &hcfg, &scfg(), &mut sink);
         assert_eq!(r.total_insts, t.len() as u64);
         assert!(r.est_cycles() > 0.0);
-        let stack = r.cpi_stack.as_ref().expect("instrumented");
-        stack.check_against(r.detail_core_cycles).unwrap();
+        sink.merged().check_against(r.detail_core_cycles).unwrap();
     }
 
     #[test]
     fn paired_speedup_uses_matching_schedules() {
         let t = loop_trace(2_000);
-        let single = sample_single(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &scfg(),
-        );
-        let fg = sample_fgstp(
-            t.insts(),
-            &FgstpConfig::small(),
-            &HierarchyConfig::small(2),
-            &scfg(),
-        );
+        let single = sample_small(&t, &scfg());
+        let fcfg = FgstpConfig::small();
+        let hcfg = HierarchyConfig::small(2);
+        let fg = sample_with(&t, TimingModel::Fgstp(&fcfg), &hcfg, &scfg(), &mut NullSink);
         let paired = fg.speedup_over(&single);
         let point = fg.est_speedup_over(&single);
         assert!(paired.mean > 0.0);
@@ -978,36 +839,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_run_is_bit_identical_to_slice_run() {
-        // Cover full intervals, a partial tail, and the short-trace
-        // degenerate case.
-        for iters in [2_000u64, 137, 3] {
-            let t = loop_trace(iters);
-            let cfg = CoreConfig::small();
-            let hcfg = HierarchyConfig::small(1);
-            let slice = sample_single(t.insts(), &cfg, &hcfg, &scfg());
-            let stream = sample_single_stream(t.insts().iter().copied(), &cfg, &hcfg, &scfg());
-            assert_eq!(stream.total_insts, slice.total_insts);
-            assert_eq!(fingerprint(&stream), fingerprint(&slice));
-            assert_eq!(stream.est_cycles(), slice.est_cycles());
-        }
-        let t = loop_trace(2_000);
-        let fcfg = FgstpConfig::small();
-        let hcfg = HierarchyConfig::small(2);
-        let slice = sample_fgstp(t.insts(), &fcfg, &hcfg, &scfg());
-        let stream = sample_fgstp_stream(t.insts().iter().copied(), &fcfg, &hcfg, &scfg());
-        assert_eq!(fingerprint(&stream), fingerprint(&slice));
-        assert_eq!(stream.est_cycles(), slice.est_cycles());
-    }
-
-    #[test]
     fn window_schedule_matches_the_planner() {
         assert!(window_schedule(0, &scfg()).is_empty(), "empty trace");
         for iters in [2_000u64, 137, 60, 3] {
             let t = loop_trace(iters);
-            let cfg = CoreConfig::small();
-            let hcfg = HierarchyConfig::small(1);
-            let plan = SamplePlan::plan(t.insts(), &cfg, &hcfg, &scfg());
+            let plan = plan_single(&t);
             let schedule = window_schedule(t.len() as u64, &scfg());
             assert_eq!(plan.jobs.len(), schedule.len(), "iters {iters}");
             for (job, spec) in plan.jobs.iter().zip(&schedule) {
@@ -1025,7 +861,7 @@ mod tests {
             let t = loop_trace(iters);
             let cfg = CoreConfig::small();
             let hcfg = HierarchyConfig::small(1);
-            let cold_plan = SamplePlan::plan(t.insts(), &cfg, &hcfg, &scfg());
+            let cold_plan = plan_single(&t);
             let snap = cold_plan.to_snapshot();
             assert!(snap.matches(t.len() as u64, &scfg()));
             assert!(snap.validate(t.len() as u64, &cfg, &hcfg, &scfg()));
@@ -1033,8 +869,9 @@ mod tests {
             let warm_plan = SamplePlan::plan_replay(t.insts().iter().copied(), snap, &scfg());
             assert_eq!(warm_plan.warmed_insts, 0, "replay does no warming");
             assert!(warm_plan.snapshot_hit);
-            let cold = run_plan_single(&cold_plan, &cfg, &hcfg);
-            let warm = run_plan_single(&warm_plan, &cfg, &hcfg);
+            let model = TimingModel::Single(&cfg);
+            let cold = run_plan(&cold_plan, model, &hcfg, None, &mut NullSink);
+            let warm = run_plan(&warm_plan, model, &hcfg, None, &mut NullSink);
             assert_eq!(fingerprint(&warm), fingerprint(&cold), "iters {iters}");
             assert_eq!(warm.est_cycles(), cold.est_cycles());
         }
@@ -1044,8 +881,7 @@ mod tests {
     fn stale_snapshots_are_rejected_by_matches() {
         let t = loop_trace(500);
         let cfg = CoreConfig::small();
-        let hcfg = HierarchyConfig::small(1);
-        let snap = SamplePlan::plan(t.insts(), &cfg, &hcfg, &scfg()).to_snapshot();
+        let snap = plan_single(&t).to_snapshot();
         let total = t.len() as u64;
         // Wrong trace length.
         assert!(!snap.matches(total + 1, &scfg()));
@@ -1065,27 +901,24 @@ mod tests {
         let t = loop_trace(2_000);
         let cfg = CoreConfig::small();
         let hcfg = HierarchyConfig::small(1);
-        let plan = SamplePlan::plan(t.insts(), &cfg, &hcfg, &scfg());
-        let serial = run_plan_single(&plan, &cfg, &hcfg);
+        let model = TimingModel::Single(&cfg);
+        let plan = plan_single(&t);
+        let serial = run_plan(&plan, model, &hcfg, None, &mut NullSink);
         // Run windows back to front, then restore job order — simulating
         // an arbitrary pool completion order.
-        let shuffled = run_plan_single_with(&plan, &cfg, &hcfg, |jobs, run| {
+        let reversed = |jobs: &[WindowJob], run: WindowExec| {
             let mut out: Vec<(usize, WarmRun)> =
                 jobs.iter().rev().map(|j| (j.index, run(j))).collect();
             out.sort_by_key(|(i, _)| *i);
             out.into_iter().map(|(_, wr)| wr).collect()
-        });
+        };
+        let shuffled = run_plan(&plan, model, &hcfg, Some(&reversed), &mut NullSink);
         assert_eq!(fingerprint(&shuffled), fingerprint(&serial));
     }
 
     #[test]
     fn empty_trace_is_a_zero_run() {
-        let r = sample_single(
-            &[],
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &SampleConfig::default(),
-        );
+        let r = sample_small(&Trace::from_insts(Vec::new()), &SampleConfig::default());
         assert_eq!(r.total_insts, 0);
         assert!(r.intervals.is_empty());
         assert_eq!(r.est_cycles(), 0.0);

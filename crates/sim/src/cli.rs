@@ -18,9 +18,9 @@
 
 use std::fmt::Write as _;
 
-use fgstp_ooo::{run_single_recorded, PipeRecorder};
+use fgstp_ooo::{run_single_warm, CoreConfig, PipeRecorder, WarmState};
 use fgstp_sampling::SampleConfig;
-use fgstp_telemetry::{write_chrome_trace, StallCategory};
+use fgstp_telemetry::{write_chrome_trace, NullSink, StallCategory};
 use fgstp_workloads::{by_name, suite, Scale};
 
 use crate::presets::MachineKind;
@@ -180,7 +180,7 @@ pub fn run_instrumented(
         (r, ep, None)
     } else {
         (
-            run_on_with_cores(kind, trace.insts(), cores),
+            run_on_with_cores(kind, trace.insts(), cores, &mut NullSink),
             Vec::new(),
             None,
         )
@@ -342,13 +342,11 @@ pub fn pipeview(workload: &str, range: Option<&str>) -> Result<String, CliError>
     let (from, to) = parse_range(range)?;
     let w = find_workload(workload, Scale::Test)?;
     let trace = Session::new().scale(Scale::Test).trace(&w);
-    let (_, rec) = run_single_recorded(
-        trace.insts(),
-        &fgstp_ooo::CoreConfig::small(),
-        &fgstp_mem::HierarchyConfig::small(1),
-        Some(PipeRecorder::with_limit(to)),
-    );
-    Ok(rec.expect("recorder attached").render(from, to))
+    let cfg = CoreConfig::small();
+    let mut warm = WarmState::new(&cfg, &fgstp_mem::HierarchyConfig::small(1));
+    let mut rec = PipeRecorder::with_limit(to);
+    run_single_warm(trace.insts(), &cfg, &mut warm, 0, &mut rec);
+    Ok(rec.render(trace.insts(), 0, from, to))
 }
 
 /// `pipeview2 <workload> [first..last]`: side-by-side per-core timeline of
@@ -359,15 +357,9 @@ pub fn pipeview2(workload: &str, range: Option<&str>) -> Result<String, CliError
     let w = find_workload(workload, Scale::Test)?;
     let trace = Session::new().scale(Scale::Test).trace(&w);
     let cfg = fgstp::FgstpConfig::small();
-    let recorders = (0..cfg.num_cores)
-        .map(|_| PipeRecorder::with_limit(to))
-        .collect();
-    let (_, stats, recs) = fgstp::run_fgstp_recorded(
-        trace.insts(),
-        &cfg,
-        &fgstp_mem::HierarchyConfig::small(cfg.num_cores),
-        Some(recorders),
-    );
+    let mut warm = WarmState::new(&cfg.core, &fgstp_mem::HierarchyConfig::small(cfg.num_cores));
+    let mut rec = PipeRecorder::with_limit(to);
+    let (_, stats) = fgstp::run_fgstp_warm(trace.insts(), &cfg, &mut warm, 0, &mut rec);
     let per_core: Vec<String> = stats.partition.insts.iter().map(u64::to_string).collect();
     let mut out = format!(
         "partition: {} instructions, {} replicated, {} communications\n",
@@ -375,8 +367,9 @@ pub fn pipeview2(workload: &str, range: Option<&str>) -> Result<String, CliError
         stats.partition.replicated,
         stats.partition.cross_reg_deps,
     );
-    for (i, rec) in recs.expect("recorders attached").iter().enumerate() {
-        let _ = write!(out, "\n--- core {i} ---\n{}", rec.render(from, to));
+    for i in 0..cfg.num_cores {
+        let view = rec.render(trace.insts(), i, from, to);
+        let _ = write!(out, "\n--- core {i} ---\n{view}");
     }
     Ok(out)
 }

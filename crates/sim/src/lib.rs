@@ -65,15 +65,14 @@ pub mod runner;
 pub mod session;
 pub mod spec;
 
-pub use fgstp_sampling::{geomean_estimate, Estimate, SampleConfig, SampledRun};
+pub use fgstp_sampling::{geomean_estimate, Estimate, SampleConfig, SampledRun, WindowPool};
 pub use fgstp_telemetry::{write_chrome_trace, CpiStack, Episode, StallCategory};
 pub use fgstp_workloads::{Scale, SuiteClass, Workload};
 pub use presets::MachineKind;
 pub use report::{cpi_stack_table, speedup_table, SpeedupSummary, Table};
 pub use runner::{
     geomean, run_on, run_on_corun, run_on_instrumented, run_on_instrumented_with_cores,
-    run_on_sampled, run_on_sampled_stream, run_on_with_cores, run_suite, BenchResult, CoRunInfo,
-    MachineRun, WindowPool,
+    run_on_sampled, run_on_with_cores, run_suite, BenchResult, CoRunInfo, MachineRun,
 };
-pub use session::{CacheStats, RunPlan, Session, SnapshotStats, TraceStream, TraceStreamIter};
+pub use session::{CacheStats, RunPlan, Session, SnapshotStats};
 pub use spec::{CoRunProgramSpec, CoRunSpec, ExperimentSpec, SpecError, SpecErrorKind};

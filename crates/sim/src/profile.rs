@@ -9,7 +9,7 @@
 
 use fgstp_isa::DynInst;
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::{run_single_recorded, CoreConfig, PipeRecorder};
+use fgstp_ooo::{run_single_warm, CoreConfig, PipeRecorder, WarmState};
 
 /// IPC time series over fixed instruction intervals.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,9 +66,9 @@ pub fn profile_single(
     interval: usize,
 ) -> PhaseProfile {
     assert!(interval > 0, "interval must be positive");
-    let (_, rec) = run_single_recorded(trace, cfg, hcfg, Some(PipeRecorder::new()));
-    let rec = rec.expect("recorder attached");
-    let commits: Vec<u64> = rec.iter().filter_map(|(_, _, ev)| ev.commit).collect();
+    let mut rec = PipeRecorder::new();
+    run_single_warm(trace, cfg, &mut WarmState::new(cfg, hcfg), 0, &mut rec);
+    let commits: Vec<u64> = rec.iter(0).filter_map(|(_, ev)| ev.commit).collect();
     profile_from_commits(&commits, interval)
 }
 

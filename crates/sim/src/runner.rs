@@ -7,30 +7,16 @@
 //! free functions ([`run_suite`]) as thin compatibility shims over a
 //! default session.
 
-use fgstp::{
-    run_corun, run_fgstp, run_fgstp_with_sink, CoRunContention, CoRunPlan, CoRunProgram, FgstpStats,
-};
+use fgstp::{run_corun, run_fgstp_warm, CoRunContention, CoRunPlan, CoRunProgram, FgstpStats};
 use fgstp_isa::{DynInst, Trace};
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::CoreConfig;
-use fgstp_ooo::{run_single, run_single_with_sink, RunResult, WarmRun};
-use fgstp_sampling::{
-    run_plan_fgstp_instrumented, run_plan_fgstp_with, run_plan_single_instrumented,
-    run_plan_single_with, sample_fgstp, sample_fgstp_instrumented, sample_fgstp_stream,
-    sample_single, sample_single_instrumented, sample_single_stream, SampleConfig, SamplePlan,
-    SampledRun, WindowExec, WindowJob,
-};
-use fgstp_telemetry::{CpiSink, CpiStack, Episode};
+use fgstp_ooo::{run_single_warm, CoreConfig, RunResult, WarmState};
+use fgstp_sampling::{run_plan, SampleConfig, SamplePlan, SampledRun, TimingModel, WindowPool};
+use fgstp_telemetry::{CpiSink, CpiStack, CycleSink, Episode, NullSink};
 use fgstp_workloads::{Scale, Workload};
 
 use crate::presets::MachineKind;
 use crate::session::Session;
-
-/// A window-dispatch hook for sampled runs: executes each pure
-/// [`WindowJob`] through the provided [`WindowExec`] — possibly
-/// concurrently — and returns the results in job order. The session
-/// passes its worker pool here; `None` runs the windows serially.
-pub type WindowPool<'a> = &'a (dyn Fn(&[WindowJob], WindowExec) -> Vec<WarmRun> + Sync);
 
 /// Where one program sat inside a co-run (see [`run_on_corun`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,45 +116,49 @@ impl BenchResult {
 
 /// Runs one trace through one machine preset.
 pub fn run_on(kind: MachineKind, trace: &[DynInst]) -> MachineRun {
-    run_on_with_cores(kind, trace, None)
+    run_on_with_cores(kind, trace, None, &mut NullSink)
 }
 
 /// Like [`run_on`], but overrides the Fg-STP core count when `cores` is
-/// set (the CLI `--cores` flag and the E13 scaling sweep).
+/// set (the CLI `--cores` flag and the E13 scaling sweep), and charges
+/// every core-cycle into `sink` (timing is bit-identical for every sink).
 ///
 /// # Panics
 ///
 /// Panics if `cores` is set for a non-Fg-STP preset (those machines have a
 /// fixed shape).
-pub fn run_on_with_cores(kind: MachineKind, trace: &[DynInst], cores: Option<usize>) -> MachineRun {
-    if let Some(mut cfg) = kind.try_fgstp_config() {
+pub fn run_on_with_cores<S: CycleSink>(
+    kind: MachineKind,
+    trace: &[DynInst],
+    cores: Option<usize>,
+    sink: &mut S,
+) -> MachineRun {
+    let (result, fgstp) = if let Some(mut cfg) = kind.try_fgstp_config() {
         if let Some(n) = cores {
             cfg = cfg.with_cores(n);
         }
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        let (result, stats) = run_fgstp(trace, &cfg, &hcfg);
-        MachineRun {
-            kind,
-            result,
-            fgstp: Some(stats),
-            cpi: None,
-            sampled: None,
-            corun: None,
-        }
+        let mut warm = WarmState::new(&cfg.core, &kind.hierarchy_for(cfg.num_cores));
+        let (run, stats) = run_fgstp_warm(trace, &cfg, &mut warm, 0, sink);
+        (run.result, Some(stats))
     } else {
         assert!(
             cores.is_none(),
             "--cores only applies to Fg-STP machines, not {kind}"
         );
-        let result = run_single(trace, &kind.core_config(), &kind.hierarchy_config());
-        MachineRun {
-            kind,
-            result,
-            fgstp: None,
-            cpi: None,
-            sampled: None,
-            corun: None,
-        }
+        let cfg = kind.core_config();
+        let mut warm = WarmState::new(&cfg, &kind.hierarchy_config());
+        (
+            run_single_warm(trace, &cfg, &mut warm, 0, sink).result,
+            None,
+        )
+    };
+    MachineRun {
+        kind,
+        result,
+        fgstp,
+        cpi: None,
+        sampled: None,
+        corun: None,
     }
 }
 
@@ -259,23 +249,8 @@ pub fn run_on_sampled(
     scfg: &SampleConfig,
     telemetry: bool,
 ) -> MachineRun {
-    let sampled = if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        if telemetry {
-            sample_fgstp_instrumented(trace, &cfg, &hcfg, scfg)
-        } else {
-            sample_fgstp(trace, &cfg, &hcfg, scfg)
-        }
-    } else {
-        let ccfg = kind.core_config();
-        let hcfg = kind.hierarchy_config();
-        if telemetry {
-            sample_single_instrumented(trace, &ccfg, &hcfg, scfg)
-        } else {
-            sample_single(trace, &ccfg, &hcfg, scfg)
-        }
-    };
-    sampled_machine_run(kind, sampled)
+    let plan = plan_on_sampled(kind, trace.iter().copied(), scfg);
+    run_on_sampled_plan(kind, &plan, telemetry, None)
 }
 
 /// The functional-warming machine shape a preset samples with: the core
@@ -292,16 +267,16 @@ pub fn warm_shape(kind: MachineKind) -> (CoreConfig, HierarchyConfig) {
     }
 }
 
-/// Plans a sampled run of `kind` over a streamed trace: one pass of
-/// continuous functional warming that captures a live-point per detailed
-/// window (see [`fgstp_sampling::SamplePlan::plan_stream`]).
+/// Plans a sampled run of `kind` over a trace: one pass of continuous
+/// functional warming that captures a live-point per detailed window (see
+/// [`fgstp_sampling::SamplePlan::plan`]).
 pub fn plan_on_sampled(
     kind: MachineKind,
     trace: impl IntoIterator<Item = DynInst>,
     scfg: &SampleConfig,
 ) -> SamplePlan {
     let (ccfg, hcfg) = warm_shape(kind);
-    SamplePlan::plan_stream(trace, &ccfg, &hcfg, scfg)
+    SamplePlan::plan(trace, &ccfg, &hcfg, scfg)
 }
 
 /// Executes a prepared [`SamplePlan`] on machine `kind`. With `telemetry`
@@ -317,34 +292,43 @@ pub fn run_on_sampled_plan(
     telemetry: bool,
     exec: Option<WindowPool>,
 ) -> MachineRun {
-    let serial = |jobs: &[WindowJob], run: WindowExec| jobs.iter().map(run).collect();
-    let sampled = if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        if telemetry {
-            run_plan_fgstp_instrumented(plan, &cfg, &hcfg)
-        } else if let Some(exec) = exec {
-            run_plan_fgstp_with(plan, &cfg, &hcfg, |jobs, run| exec(jobs, run))
-        } else {
-            run_plan_fgstp_with(plan, &cfg, &hcfg, serial)
+    match kind.try_fgstp_config() {
+        Some(cfg) => {
+            let hcfg = kind.hierarchy_for(cfg.num_cores);
+            run_sampled(kind, TimingModel::Fgstp(&cfg), &hcfg, plan, telemetry, exec)
         }
-    } else {
-        let ccfg = kind.core_config();
-        let hcfg = kind.hierarchy_config();
-        if telemetry {
-            run_plan_single_instrumented(plan, &ccfg, &hcfg)
-        } else if let Some(exec) = exec {
-            run_plan_single_with(plan, &ccfg, &hcfg, |jobs, run| exec(jobs, run))
-        } else {
-            run_plan_single_with(plan, &ccfg, &hcfg, serial)
+        None => {
+            let ccfg = kind.core_config();
+            let hcfg = kind.hierarchy_config();
+            run_sampled(
+                kind,
+                TimingModel::Single(&ccfg),
+                &hcfg,
+                plan,
+                telemetry,
+                exec,
+            )
         }
-    };
-    sampled_machine_run(kind, sampled)
+    }
 }
 
-/// Wraps a [`SampledRun`] in the standard [`MachineRun`] projection:
-/// `result.cycles` is the rounded CPI-estimate projection, `committed`
-/// the full trace length.
-fn sampled_machine_run(kind: MachineKind, mut sampled: SampledRun) -> MachineRun {
+/// Executes `plan` on `model` (see [`run_on_sampled_plan`]) and wraps the
+/// [`SampledRun`] in the standard [`MachineRun`] projection: `result.cycles`
+/// is the rounded CPI-estimate projection, `committed` the full trace
+/// length.
+fn run_sampled(
+    kind: MachineKind,
+    model: TimingModel,
+    hcfg: &HierarchyConfig,
+    plan: &SamplePlan,
+    telemetry: bool,
+    exec: Option<WindowPool>,
+) -> MachineRun {
+    let mut sink = telemetry.then(|| CpiSink::new(model.cores()));
+    let sampled = match &mut sink {
+        Some(sink) => run_plan(plan, model, hcfg, exec, sink),
+        None => run_plan(plan, model, hcfg, exec, &mut NullSink),
+    };
     let result = RunResult {
         cycles: sampled.est_cycles().round() as u64,
         committed: sampled.total_insts,
@@ -356,48 +340,10 @@ fn sampled_machine_run(kind: MachineKind, mut sampled: SampledRun) -> MachineRun
         kind,
         result,
         fgstp: None,
-        cpi: sampled.cpi_stack.take(),
+        cpi: sink.map(|s| s.merged()),
         sampled: Some(sampled),
         corun: None,
     }
-}
-
-/// Runs an *isolated* multi-program co-run under sampling: each program
-/// is sampled independently on its own core slice (`cores[i]`-core
-/// machine, private hierarchy), which is exactly what an isolated co-run
-/// computes in full detail. Shared-hierarchy co-runs cannot be sampled —
-/// contention couples the programs' timing, so there is no per-program
-/// interval schedule — and `--corun --sample` without `--isolated` is
-/// rejected upstream by spec validation.
-///
-/// Returns one [`BenchResult`] per program in plan order, each carrying
-/// the sampled record and its co-run placement.
-///
-/// # Panics
-///
-/// Panics if `kind` is not an Fg-STP preset or the slice lengths
-/// disagree.
-pub fn run_on_sampled_corun_isolated(
-    kind: MachineKind,
-    workloads: &[Workload],
-    traces: &[Trace],
-    cores: &[usize],
-    scfg: &SampleConfig,
-) -> Vec<BenchResult> {
-    assert_eq!(
-        traces.len(),
-        cores.len(),
-        "one trace and core count per co-running program"
-    );
-    let plans: Vec<SamplePlan> = traces
-        .iter()
-        .zip(cores)
-        .map(|(t, &n)| {
-            let (ccfg, hcfg) = corun_warm_shape(kind, n);
-            SamplePlan::plan(t.insts(), &ccfg, &hcfg, scfg)
-        })
-        .collect();
-    run_on_sampled_corun_isolated_plans(kind, workloads, plans, cores, None)
 }
 
 /// The functional-warming machine shape of one program in a sampled
@@ -415,10 +361,23 @@ pub fn corun_warm_shape(kind: MachineKind, cores: usize) -> (CoreConfig, Hierarc
     (base.with_cores(cores).core, kind.hierarchy_for(cores))
 }
 
-/// Executes prepared per-program [`SamplePlan`]s as an isolated sampled
-/// co-run (see [`run_on_sampled_corun_isolated`]); the optional `exec`
-/// hook dispatches each plan's pure window jobs, exactly as in
+/// Executes prepared per-program [`SamplePlan`]s as an *isolated* sampled
+/// co-run: each program is sampled independently on its own core slice
+/// (`cores[i]`-core machine, private hierarchy), which is exactly what an
+/// isolated co-run computes in full detail. Shared-hierarchy co-runs
+/// cannot be sampled — contention couples the programs' timing, so there
+/// is no per-program interval schedule — and `--corun --sample` without
+/// `--isolated` is rejected upstream by spec validation. The optional
+/// `exec` hook dispatches each plan's pure window jobs, exactly as in
 /// [`run_on_sampled_plan`].
+///
+/// Returns one [`BenchResult`] per program in plan order, each carrying
+/// the sampled record and its co-run placement.
+///
+/// # Panics
+///
+/// Panics if `kind` is not an Fg-STP preset or the slice lengths
+/// disagree.
 pub fn run_on_sampled_corun_isolated_plans(
     kind: MachineKind,
     workloads: &[Workload],
@@ -433,33 +392,26 @@ pub fn run_on_sampled_corun_isolated_plans(
     let base = kind
         .try_fgstp_config()
         .unwrap_or_else(|| panic!("--corun needs an Fg-STP machine, not {kind}"));
-    let serial = |jobs: &[WindowJob], run: WindowExec| jobs.iter().map(run).collect();
     let mut results = Vec::with_capacity(workloads.len());
     let mut first_core = 0usize;
-    let mut runs: Vec<(SampledRun, usize)> = Vec::with_capacity(workloads.len());
-    for (plan, &n) in plans.iter().zip(cores) {
-        let cfg = base.clone().with_cores(n);
-        let hcfg = kind.hierarchy_for(n);
-        let sampled = match exec {
-            Some(exec) => run_plan_fgstp_with(plan, &cfg, &hcfg, |jobs, run| exec(jobs, run)),
-            None => run_plan_fgstp_with(plan, &cfg, &hcfg, serial),
-        };
-        runs.push((sampled, n));
-    }
-    let total_cycles = runs
+    let runs: Vec<(MachineRun, usize)> = plans
         .iter()
-        .map(|(s, _)| s.est_cycles().round() as u64)
-        .max()
-        .unwrap_or(0);
-    for (i, (w, (sampled, n))) in workloads.iter().zip(runs).enumerate() {
-        let est = sampled.est_cycles().round() as u64;
-        let mut run = sampled_machine_run(kind, sampled);
+        .zip(cores)
+        .map(|(plan, &n)| {
+            let cfg = base.clone().with_cores(n);
+            let hcfg = kind.hierarchy_for(n);
+            let model = TimingModel::Fgstp(&cfg);
+            (run_sampled(kind, model, &hcfg, plan, false, exec), n)
+        })
+        .collect();
+    let total_cycles = runs.iter().map(|(r, _)| r.result.cycles).max().unwrap_or(0);
+    for (i, (w, (mut run, n))) in workloads.iter().zip(runs).enumerate() {
         run.corun = Some(CoRunInfo {
             program: i,
             first_core,
             cores: n,
             start_cycle: 0,
-            finish_cycle: est,
+            finish_cycle: run.result.cycles,
             total_cycles,
             isolated: true,
         });
@@ -472,26 +424,6 @@ pub fn run_on_sampled_corun_isolated_plans(
         });
     }
     results
-}
-
-/// Like [`run_on_sampled`] (uninstrumented), but consumes the trace as a
-/// stream — e.g. an [`fgstp_tracefile::OwnedTraceReader`] straight off the
-/// on-disk cache — so the decoded `Vec<DynInst>` is never materialized; at
-/// most one detailed window of instructions is in memory at a time.
-/// Results are bit-identical to the slice path: the sampler's slice and
-/// stream entry points share one interval walker.
-pub fn run_on_sampled_stream(
-    kind: MachineKind,
-    trace: impl IntoIterator<Item = DynInst>,
-    scfg: &SampleConfig,
-) -> MachineRun {
-    let sampled = if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        sample_fgstp_stream(trace, &cfg, &hcfg, scfg)
-    } else {
-        sample_single_stream(trace, &kind.core_config(), &kind.hierarchy_config(), scfg)
-    };
-    sampled_machine_run(kind, sampled)
 }
 
 /// Runs one trace through one machine preset with cycle accounting: the
@@ -520,60 +452,16 @@ pub fn run_on_instrumented_with_cores(
     episodes: bool,
     cores: Option<usize>,
 ) -> (MachineRun, Vec<Episode>) {
-    let run;
-    let mut sink;
-    if let Some(mut cfg) = kind.try_fgstp_config() {
-        if let Some(n) = cores {
-            cfg = cfg.with_cores(n);
-        }
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        sink = if episodes {
-            CpiSink::with_episodes(cfg.num_cores)
-        } else {
-            CpiSink::new(cfg.num_cores)
-        };
-        let (result, stats) = run_fgstp_with_sink(trace, &cfg, &hcfg, &mut sink);
-        run = MachineRun {
-            kind,
-            result,
-            fgstp: Some(stats),
-            cpi: None,
-            sampled: None,
-            corun: None,
-        };
+    let n = cores.unwrap_or(kind.cores());
+    let mut sink = if episodes {
+        CpiSink::with_episodes(n)
     } else {
-        assert!(
-            cores.is_none(),
-            "--cores only applies to Fg-STP machines, not {kind}"
-        );
-        sink = if episodes {
-            CpiSink::with_episodes(1)
-        } else {
-            CpiSink::new(1)
-        };
-        let result = run_single_with_sink(
-            trace,
-            &kind.core_config(),
-            &kind.hierarchy_config(),
-            &mut sink,
-        );
-        run = MachineRun {
-            kind,
-            result,
-            fgstp: None,
-            cpi: None,
-            sampled: None,
-            corun: None,
-        };
-    }
+        CpiSink::new(n)
+    };
+    let mut run = run_on_with_cores(kind, trace, cores, &mut sink);
+    run.cpi = Some(sink.merged());
     let timeline = sink.finish_episodes(run.result.cycles);
-    (
-        MachineRun {
-            cpi: Some(sink.merged()),
-            ..run
-        },
-        timeline,
-    )
+    (run, timeline)
 }
 
 /// Traces one workload (panicking on a kernel fault, which would be a
@@ -726,7 +614,7 @@ mod tests {
     fn cores_override_changes_the_machine_shape() {
         let w = by_name("hmmer_dp", Scale::Test).unwrap();
         let t = trace_workload(&w, Scale::Test);
-        let r = run_on_with_cores(MachineKind::FgstpSmall, t.insts(), Some(3));
+        let r = run_on_with_cores(MachineKind::FgstpSmall, t.insts(), Some(3), &mut NullSink);
         assert_eq!(r.result.cores.len(), 3);
         assert_eq!(r.result.committed, t.len() as u64);
         // The default path matches the preset's own core count.
@@ -781,6 +669,6 @@ mod tests {
     fn cores_override_rejects_non_fgstp_machines() {
         let w = by_name("hmmer_dp", Scale::Test).unwrap();
         let t = trace_workload(&w, Scale::Test);
-        run_on_with_cores(MachineKind::SingleSmall, t.insts(), Some(2));
+        run_on_with_cores(MachineKind::SingleSmall, t.insts(), Some(2), &mut NullSink);
     }
 }

@@ -68,4 +68,4 @@ pub use chrome::write_chrome_trace;
 pub use cpi::{CpiStack, MemLevel, StallCategory};
 pub use json::Json;
 pub use registry::{Histogram, Metric, Registry};
-pub use sink::{CpiSink, CycleOutcome, CycleSink, Episode, NullSink};
+pub use sink::{CpiSink, CycleOutcome, CycleSink, Episode, NullSink, Stage};

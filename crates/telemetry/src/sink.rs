@@ -18,7 +18,45 @@ pub enum CycleOutcome {
     Stall(StallCategory),
 }
 
-/// Receiver for per-cycle attribution events.
+/// The pipeline stages an instruction passes through, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// Instruction entered the pipeline from the fetch stream.
+    Fetch,
+    /// Instruction was renamed and entered the ROB/IQ.
+    Dispatch,
+    /// Instruction was selected and began execution.
+    Issue,
+    /// Result became available.
+    Complete,
+    /// Instruction retired.
+    Commit,
+}
+
+impl Stage {
+    /// All stages in pipeline order.
+    pub const ALL: [Stage; 5] = [
+        Stage::Fetch,
+        Stage::Dispatch,
+        Stage::Issue,
+        Stage::Complete,
+        Stage::Commit,
+    ];
+
+    /// Single-character marker used by timeline renderers.
+    pub fn marker(self) -> char {
+        match self {
+            Stage::Fetch => 'f',
+            Stage::Dispatch => 'd',
+            Stage::Issue => 'i',
+            Stage::Complete => 'c',
+            Stage::Commit => 'r',
+        }
+    }
+}
+
+/// Receiver for per-cycle attribution events and per-instruction stage
+/// events.
 ///
 /// `ENABLED` gates every call site at compile time: drivers must wrap
 /// instrumentation in `if S::ENABLED { ... }` so a [`NullSink`] build
@@ -30,6 +68,11 @@ pub trait CycleSink {
 
     /// Records the outcome of cycle `now` on `core`.
     fn record(&mut self, core: usize, now: u64, outcome: CycleOutcome);
+
+    /// Records that instruction `gseq` reached `stage` on `core` at
+    /// `cycle`. Only pipeline recorders need this; the default ignores it.
+    #[inline(always)]
+    fn stage(&mut self, _core: usize, _gseq: u64, _stage: Stage, _cycle: u64) {}
 }
 
 /// The disabled sink: records nothing, costs nothing.

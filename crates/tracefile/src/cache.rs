@@ -31,9 +31,7 @@ use std::path::{Path, PathBuf};
 
 use fgstp_isa::DynInst;
 
-use crate::{
-    fnv1a, read_trace, write_trace, OwnedTraceReader, TraceFileError, TraceReader, VERSION,
-};
+use crate::{fnv1a, read_trace, write_trace, TraceFileError, VERSION};
 
 /// A directory of checksummed trace files, keyed by caller-chosen names.
 ///
@@ -93,32 +91,6 @@ impl TraceCache {
         }
     }
 
-    /// Opens the trace stored under `key` as a streaming iterator, or
-    /// `None` on any kind of miss — the same fail-safe semantics as
-    /// [`TraceCache::load`] (no file, corruption, bad checksum → remove
-    /// the file, return `None`, caller re-traces).
-    ///
-    /// The file is validated end to end *before* the iterator is handed
-    /// out — whole-file checksum, framing, every block checksum, every
-    /// record — so the returned [`OwnedTraceReader`] is infallible. Only
-    /// the compact encoded bytes are held in memory; the decoded
-    /// instructions stream out one at a time.
-    pub fn open_stream(&self, key: &str) -> Option<OwnedTraceReader> {
-        let path = self.path_for(key);
-        let data = fs::read(&path).ok()?;
-        match validate_checksummed(&data) {
-            Ok(payload_len) => {
-                let mut payload = data;
-                payload.truncate(payload_len);
-                Some(OwnedTraceReader::new_validated(payload))
-            }
-            Err(_) => {
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
     /// Stores `insts` under `key`, atomically replacing any existing file.
     ///
     /// # Errors
@@ -162,16 +134,6 @@ fn split_footer(data: &[u8]) -> Result<&[u8], TraceFileError> {
 /// Verifies the checksum footer, then decodes the trace.
 fn decode_checksummed(data: &[u8]) -> Result<Vec<DynInst>, TraceFileError> {
     read_trace(split_footer(data)?)
-}
-
-/// Verifies the footer and streams every record through the decoder
-/// without keeping any, returning the payload length on success.
-fn validate_checksummed(data: &[u8]) -> Result<usize, TraceFileError> {
-    let payload = split_footer(data)?;
-    for rec in TraceReader::new(payload)? {
-        rec?;
-    }
-    Ok(payload.len())
 }
 
 #[cfg(test)]
@@ -224,48 +186,6 @@ mod tests {
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..data.len() / 2]).unwrap();
         assert!(cache.load("k").is_none());
-        fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn open_stream_replays_the_stored_trace() {
-        let cache = temp_cache("stream");
-        let t = sample();
-        assert!(cache.open_stream("k").is_none(), "cold cache misses");
-        cache.store("k", &t).unwrap();
-        let reader = cache.open_stream("k").unwrap();
-        assert_eq!(reader.total(), t.len() as u64);
-        assert_eq!(reader.len(), t.len());
-        let streamed: Vec<DynInst> = reader.collect();
-        assert_eq!(streamed, t);
-        fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn open_stream_treats_corruption_as_a_miss_and_removes_the_file() {
-        let cache = temp_cache("stream-corrupt");
-        cache.store("k", &sample()).unwrap();
-        let path = cache.path_for("k");
-        let mut data = fs::read(&path).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xff;
-        fs::write(&path, &data).unwrap();
-        assert!(cache.open_stream("k").is_none());
-        assert!(!path.exists(), "invalid file is removed");
-        fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn open_stream_treats_mid_block_eof_as_a_miss() {
-        let cache = temp_cache("stream-eof");
-        cache.store("k", &sample()).unwrap();
-        let path = cache.path_for("k");
-        let data = fs::read(&path).unwrap();
-        // Keep the length-8 footer shape plausible by just chopping the
-        // file: both the whole-file checksum and the framing now fail.
-        fs::write(&path, &data[..data.len() / 2]).unwrap();
-        assert!(cache.open_stream("k").is_none());
-        assert!(!path.exists());
         fs::remove_dir_all(cache.dir()).unwrap();
     }
 

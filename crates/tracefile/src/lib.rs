@@ -24,9 +24,9 @@
 //!
 //! Records are framed in blocks of [`BLOCK_INSTS`] instructions, each with
 //! its own checksum, so [`TraceReader`] can stream a trace — validating as
-//! it goes — without materializing the decoded `Vec<DynInst>`. Version-1
-//! files (a single unframed record stream) remain readable; writes always
-//! use the current version.
+//! it goes — without materializing the decoded `Vec<DynInst>`. Only the
+//! current version is read: the cache never opens a file of another
+//! version, because its file names embed [`VERSION`].
 //!
 //! [`TraceCache`] wraps this format with a whole-file checksum footer and
 //! a name-keyed directory layout; see the [`cache`] module docs for the
@@ -69,9 +69,6 @@ const MAGIC: &[u8; 4] = b"FGTR";
 /// On-disk trace format version; bumping it invalidates every cache file
 /// and every `ExperimentSpec` dedup key derived from it.
 pub const VERSION: u32 = 2;
-
-/// The legacy unframed format, still accepted by readers.
-const VERSION_V1: u32 = 1;
 
 /// Records per block in the current format. Large enough that framing
 /// overhead (two varints and an 8-byte checksum per block) is noise,
@@ -155,7 +152,7 @@ const FLAG_TAKEN_VALUE: u8 = 1 << 2;
 const FLAG_RD_VALUE: u8 = 1 << 3;
 const FLAG_STORE_VALUE: u8 = 1 << 4;
 
-/// Encodes one record (identical in v1 and v2; only the framing differs).
+/// Encodes one record.
 fn write_record(buf: &mut Vec<u8>, d: &DynInst) {
     buf.push(op_code(d.inst.op));
     buf.push(d.inst.rd.index() as u8);
@@ -273,41 +270,36 @@ pub fn write_trace(insts: &[DynInst]) -> Vec<u8> {
     buf
 }
 
-/// Serializes a trace in the legacy version-1 framing: a single unframed,
-/// unchecksummed record stream. New files are always written by
-/// [`write_trace`]; this encoder exists so compatibility tests (and any
-/// tooling that must fabricate old files) can exercise the v1 read path.
-pub fn write_trace_v1(insts: &[DynInst]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + insts.len() * 12);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    write_varint(&mut buf, insts.len() as u64);
-    for d in insts {
-        write_record(&mut buf, d);
-    }
-    buf
-}
-
-/// Shared cursor over a trace buffer; drives both the borrowing
-/// [`TraceReader`] and the owning [`OwnedTraceReader`].
+/// Streaming decoder over a borrowed trace buffer.
+///
+/// Yields one `Result<DynInst, TraceFileError>` per record, in commit
+/// order with dense `seq`, validating block checksums as each block is
+/// entered — the full decoded `Vec<DynInst>` is never materialized. The
+/// first error poisons the iterator: it is yielded once, then the
+/// iterator ends.
 #[derive(Debug, Clone)]
-struct ReaderState {
-    version: u32,
+pub struct TraceReader<'a> {
+    data: &'a [u8],
     total: u64,
     emitted: u64,
     /// Absolute offset of the next unread byte.
     pos: usize,
-    /// Absolute end of the current block's payload (buffer end for v1).
+    /// Absolute end of the current block's payload.
     block_end: usize,
-    /// Records remaining in the current block (whole trace for v1).
+    /// Records remaining in the current block.
     block_left: u64,
-    /// A decode error poisons the reader: one `Err` is yielded, then
-    /// `None` forever.
     failed: bool,
 }
 
-impl ReaderState {
-    fn new(data: &[u8]) -> Result<ReaderState, TraceFileError> {
+impl<'a> TraceReader<'a> {
+    /// Opens a reader over an encoded trace, validating the header.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceFileError`] if the header is malformed, the
+    /// version is not [`VERSION`], or the declared record count cannot fit
+    /// in the buffer.
+    pub fn new(data: &'a [u8]) -> Result<TraceReader<'a>, TraceFileError> {
         if data.len() < 8 {
             return Err(TraceFileError::Truncated);
         }
@@ -315,7 +307,7 @@ impl ReaderState {
             return Err(TraceFileError::BadMagic);
         }
         let version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(TraceFileError::BadVersion(version));
         }
         let mut buf = &data[8..];
@@ -326,26 +318,26 @@ impl ReaderState {
             return Err(TraceFileError::Truncated);
         }
         let pos = data.len() - buf.len();
-        let (block_end, block_left) = if version == VERSION_V1 {
-            // v1 is one unframed "block" spanning the rest of the buffer.
-            (data.len(), total)
-        } else {
-            // Force a block-header parse on the first record.
-            (pos, 0)
-        };
-        Ok(ReaderState {
-            version,
+        Ok(TraceReader {
+            data,
             total,
             emitted: 0,
             pos,
-            block_end,
-            block_left,
+            // Forces a block-header parse on the first record.
+            block_end: pos,
+            block_left: 0,
             failed: false,
         })
     }
 
-    /// Parses the next v2 block header and verifies its payload checksum.
-    fn enter_block(&mut self, data: &[u8]) -> Result<(), TraceFileError> {
+    /// Total number of records the file declares.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Parses the next block header and verifies its payload checksum.
+    fn enter_block(&mut self) -> Result<(), TraceFileError> {
+        let data = self.data;
         if self.pos >= data.len() {
             return Err(TraceFileError::Truncated);
         }
@@ -371,24 +363,28 @@ impl ReaderState {
         }
         Ok(())
     }
+}
 
-    fn next(&mut self, data: &[u8]) -> Option<Result<DynInst, TraceFileError>> {
+impl Iterator for TraceReader<'_> {
+    type Item = Result<DynInst, TraceFileError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         if self.failed || self.emitted >= self.total {
             return None;
         }
         while self.block_left == 0 {
-            if let Err(e) = self.enter_block(data) {
+            if let Err(e) = self.enter_block() {
                 self.failed = true;
                 return Some(Err(e));
             }
         }
-        let mut buf = &data[self.pos..self.block_end];
+        let mut buf = &self.data[self.pos..self.block_end];
         match read_record(&mut buf, self.emitted) {
             Ok(d) => {
                 self.pos = self.block_end - buf.len();
                 self.emitted += 1;
                 self.block_left -= 1;
-                if self.block_left == 0 && self.version != VERSION_V1 {
+                if self.block_left == 0 {
                     // Past the payload (any slack included) and checksum.
                     self.pos = self.block_end + 8;
                 }
@@ -401,118 +397,16 @@ impl ReaderState {
         }
     }
 
-    fn remaining(&self) -> u64 {
-        self.total - self.emitted
-    }
-}
-
-/// Streaming decoder over a borrowed trace buffer.
-///
-/// Yields one `Result<DynInst, TraceFileError>` per record, in commit
-/// order with dense `seq`, validating block checksums as each block is
-/// entered — the full decoded `Vec<DynInst>` is never materialized.
-/// Reads both the current block-framed format and legacy v1 files. The
-/// first error poisons the iterator: it is yielded once, then the
-/// iterator ends.
-#[derive(Debug, Clone)]
-pub struct TraceReader<'a> {
-    data: &'a [u8],
-    state: ReaderState,
-}
-
-impl<'a> TraceReader<'a> {
-    /// Opens a reader over an encoded trace, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceFileError`] if the header is malformed, the
-    /// version is unsupported, or the declared record count cannot fit in
-    /// the buffer.
-    pub fn new(data: &'a [u8]) -> Result<TraceReader<'a>, TraceFileError> {
-        Ok(TraceReader {
-            state: ReaderState::new(data)?,
-            data,
-        })
-    }
-
-    /// Total number of records the file declares.
-    pub fn total(&self) -> u64 {
-        self.state.total
-    }
-
-    /// Format version of the underlying buffer (1 or the current version).
-    pub fn version(&self) -> u32 {
-        self.state.version
-    }
-}
-
-impl Iterator for TraceReader<'_> {
-    type Item = Result<DynInst, TraceFileError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.state.next(self.data)
-    }
-
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.state.remaining() as usize;
-        if self.state.failed {
+        if self.failed {
             (0, Some(0))
         } else {
-            (0, Some(rem))
+            (0, Some((self.total - self.emitted) as usize))
         }
     }
 }
 
-/// Streaming decoder that owns its buffer and cannot fail.
-///
-/// Produced by [`TraceCache::open_stream`], which fully validates the
-/// file (structure, every record, every block checksum) before handing
-/// out the iterator; iteration then yields plain [`DynInst`]s. Holding
-/// the compact encoded bytes (~10 B/record) instead of the decoded
-/// vector (~100 B/record) is what lets sessions replay cached traces
-/// without materializing them.
-#[derive(Debug, Clone)]
-pub struct OwnedTraceReader {
-    data: Vec<u8>,
-    state: ReaderState,
-}
-
-impl OwnedTraceReader {
-    /// Wraps a buffer that has already been validated end to end.
-    pub(crate) fn new_validated(data: Vec<u8>) -> OwnedTraceReader {
-        let state = ReaderState::new(&data).expect("buffer was validated");
-        OwnedTraceReader { data, state }
-    }
-
-    /// Total number of records in the trace.
-    pub fn total(&self) -> u64 {
-        self.state.total
-    }
-
-    /// Records not yet yielded.
-    pub fn remaining(&self) -> u64 {
-        self.state.remaining()
-    }
-}
-
-impl Iterator for OwnedTraceReader {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        self.state
-            .next(&self.data)
-            .map(|r| r.expect("buffer was validated"))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.state.remaining() as usize;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for OwnedTraceReader {}
-
-/// Deserializes a trace from its binary representation (either version).
+/// Deserializes a trace from its binary representation.
 ///
 /// # Errors
 ///
@@ -621,14 +515,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_readable() {
-        let t = sample();
-        let bytes = write_trace_v1(&t);
-        assert_eq!(read_trace(&bytes).unwrap(), t);
-        let reader = TraceReader::new(&bytes).unwrap();
-        assert_eq!(reader.version(), 1);
-        let streamed: Vec<DynInst> = reader.map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, t);
+    fn v1_header_is_an_unsupported_version() {
+        let mut bytes = write_trace(&sample());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            read_trace(&bytes),
+            Err(TraceFileError::BadVersion(1))
+        ));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 # still catching real regressions. Override with PERF_GATE_TOLERANCE,
 # and the iteration count with PERF_GATE_ITERS.
 #
-# NOTE: a plain `cargo build --release` at the workspace root does NOT
-# rebuild the bench crate (it is a workspace member, not a root
-# dependency) — the `-p fgstp-bench` below is required.
+# NOTE: a plain `cargo build --release` at the workspace root builds
+# every crate, the bench crate included (the root `[workspace]` lists
+# them all in `default-members`); the `-p fgstp-bench` below only narrows
+# the build to the two gate binaries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -9,6 +9,7 @@
 
 use fg_stp_repro::ooo::{run_single, run_single_warm, WarmState};
 use fg_stp_repro::prelude::*;
+use fg_stp_repro::telemetry::NullSink;
 use fg_stp_repro::workloads::{suite, Scale};
 use fgstp::run_fgstp_warm;
 
@@ -35,7 +36,7 @@ fn single_core_warm_entry_matches_cold_run() {
         let trace = traced(name);
         let cold = run_single(&trace, &cfg, &hcfg);
         let mut warm = WarmState::new(&cfg, &hcfg);
-        let wr = run_single_warm(&trace, &cfg, &mut warm, 0);
+        let wr = run_single_warm(&trace, &cfg, &mut warm, 0, &mut NullSink);
         assert_eq!(wr.result.cycles, cold.cycles, "{name}: cycles");
         assert_eq!(wr.result.committed, cold.committed, "{name}: committed");
         assert_eq!(wr.result.branches, cold.branches, "{name}: branches");
@@ -53,7 +54,7 @@ fn fgstp_warm_entry_matches_cold_run_at_2_and_4_cores() {
             let trace = traced(name);
             let (cold, cold_stats) = run_fgstp(&trace, &cfg, &hcfg);
             let mut warm = WarmState::new(&cfg.core, &hcfg);
-            let (wr, warm_stats) = run_fgstp_warm(&trace, &cfg, &mut warm, 0);
+            let (wr, warm_stats) = run_fgstp_warm(&trace, &cfg, &mut warm, 0, &mut NullSink);
             assert_eq!(wr.result.cycles, cold.cycles, "{name}/{n}: cycles");
             assert_eq!(wr.result.committed, cold.committed, "{name}/{n}: committed");
             assert_eq!(wr.result.branches, cold.branches, "{name}/{n}: branches");
