@@ -15,7 +15,8 @@
 //!    neither consulted nor written.
 //!
 //! The experiment reports wall-clock, snapshot hit/miss counts, and
-//! instructions warmed per phase, and checks the projected figures are
+//! instructions warmed per phase, plus the bytes of live-point (`.fgss`)
+//! files the cold leg stored, and checks the projected figures are
 //! bit-identical across all three — the live-point contract: checkpoints
 //! buy time, never accuracy.
 //!
@@ -23,6 +24,7 @@
 //! (scale word, `--threads=N`, `--sample=I,W,D`) plus `--csv`; the cache
 //! directory is a private temporary one so the cold leg is really cold.
 
+use std::path::Path;
 use std::time::Instant;
 
 use fgstp_bench::{print_experiment, ExpArgs};
@@ -45,6 +47,19 @@ fn geomean_speedup(results: &[BenchResult]) -> f64 {
         .map(|b| b.runs[0].result.cycles as f64 / b.runs[1].result.cycles as f64)
         .collect();
     geomean(&speedups)
+}
+
+/// Total size in bytes and number of the live-point (`.fgss`) files in
+/// `dir`.
+fn livepoint_bytes(dir: &Path) -> (u64, usize) {
+    let sizes: Vec<u64> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "fgss"))
+        .map(|e| e.metadata().map_or(0, |m| m.len()))
+        .collect();
+    (sizes.iter().sum(), sizes.len())
 }
 
 fn main() {
@@ -83,6 +98,7 @@ fn main() {
     };
 
     let (cold, cold_stats, cold_wall) = run_phase(true);
+    let (stored_bytes, stored_files) = livepoint_bytes(&dir);
     let (warm, warm_stats, warm_wall) = run_phase(true);
     let (off, off_stats, off_wall) = run_phase(false);
 
@@ -125,6 +141,9 @@ fn main() {
         phases[1].2.warmed_insts,
         cold_stats.warmed_insts,
         if all_identical { "yes" } else { "NO" }
+    );
+    println!(
+        "live-points stored by the cold leg: {stored_bytes} bytes in {stored_files} .fgss files"
     );
     assert!(all_identical, "live-points changed the figures");
     assert_eq!(

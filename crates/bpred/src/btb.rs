@@ -1,6 +1,6 @@
 //! Branch target buffer.
 
-use crate::codec::{put_u64, take_u64};
+use fgstp_tracefile::{take_count, take_varint, write_varint};
 
 /// A direct-mapped branch target buffer.
 ///
@@ -54,46 +54,54 @@ impl Btb {
         (self.hits, self.misses)
     }
 
-    /// Appends the full BTB state (entries and statistics) to `out`.
+    /// Appends the full BTB state to `out`: only the present entries, in
+    /// table order, each as its branch PC (which also names its slot) and
+    /// target.
+    ///
+    /// ```text
+    /// varint entries | varint present | (varint pc | varint target)*
+    /// | varint hits | varint misses
+    /// ```
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.entries.len() as u64);
-        for e in &self.entries {
-            match e {
-                Some((pc, target)) => {
-                    out.push(1);
-                    put_u64(out, *pc);
-                    put_u64(out, *target);
-                }
-                None => out.push(0),
-            }
+        write_varint(out, self.entries.len() as u64);
+        write_varint(out, self.entries.iter().flatten().count() as u64);
+        for &(pc, target) in self.entries.iter().flatten() {
+            write_varint(out, pc);
+            write_varint(out, target);
         }
-        put_u64(out, self.hits);
-        put_u64(out, self.misses);
+        write_varint(out, self.hits);
+        write_varint(out, self.misses);
     }
 
     /// Restores state written by [`Btb::save_state`] on a same-size BTB,
-    /// consuming it from the front of `bytes`.
+    /// consuming it from the front of `bytes`. Entries must come in
+    /// strictly increasing slot order, so no slot is written twice.
     pub fn load_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
-        let n = take_u64(bytes)? as usize;
-        if n != self.entries.len() {
+        let n = take_varint(bytes, "btb entries")?;
+        if n != self.entries.len() as u64 {
             return Err(format!(
                 "btb shape mismatch: {n} entries, expected {}",
                 self.entries.len()
             ));
         }
-        for e in &mut self.entries {
-            let Some((&flag, rest)) = bytes.split_first() else {
-                return Err("btb snapshot truncated".to_owned());
-            };
-            *bytes = rest;
-            *e = match flag {
-                0 => None,
-                1 => Some((take_u64(bytes)?, take_u64(bytes)?)),
-                other => return Err(format!("bad btb entry flag {other}")),
-            };
+        let present = take_varint(bytes, "btb present entries")?;
+        if present > n {
+            return Err(format!("btb has {present} present entries of {n}"));
         }
-        self.hits = take_u64(bytes)?;
-        self.misses = take_u64(bytes)?;
+        self.entries.fill(None);
+        let mut next_slot = 0;
+        for _ in 0..present {
+            let pc = take_varint(bytes, "btb pc")?;
+            let target = take_varint(bytes, "btb target")?;
+            let slot = self.index(pc);
+            if slot < next_slot {
+                return Err(format!("btb entry for pc {pc:#x} out of slot order"));
+            }
+            self.entries[slot] = Some((pc, target));
+            next_slot = slot + 1;
+        }
+        self.hits = take_count(bytes, "btb hits")?;
+        self.misses = take_count(bytes, "btb misses")?;
         Ok(())
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::codec::{put_bytes, put_u64, take_bytes_exact, take_u64};
+use fgstp_tracefile::{take_varint, write_varint};
 
 /// A conditional-branch direction predictor.
 ///
@@ -11,10 +11,12 @@ use crate::codec::{put_bytes, put_u64, take_bytes_exact, take_u64};
 /// at commit, in program order.
 ///
 /// Predictors are snapshottable for checkpointed sampling: `save_state`
-/// serializes the trained tables, `load_state` restores them into a
-/// predictor *of the same shape* (same [`PredictorKind`], same index
-/// bits). A shape mismatch is reported as an `Err`, never a panic, so a
-/// stale snapshot degrades to a re-warm instead of taking the run down.
+/// serializes the trained tables (each a varint size and its 2-bit
+/// counters packed four per byte; gshare adds a varint history),
+/// `load_state` restores them into a predictor *of the same shape* (same
+/// [`PredictorKind`], same index bits). A shape mismatch is reported as
+/// an `Err`, never a panic, so a stale snapshot degrades to a re-warm
+/// instead of taking the run down.
 pub trait DirectionPredictor {
     /// Predicts the direction of the branch at `pc`.
     fn predict(&self, pc: u64) -> bool;
@@ -35,6 +37,41 @@ pub trait DirectionPredictor {
 #[inline]
 fn counter_taken(c: u8) -> bool {
     c >= 2
+}
+
+/// Appends a table of 2-bit counters: a varint count, then the counters
+/// packed four per byte, first counter in the low bits.
+fn put_counters(out: &mut Vec<u8>, counters: &[u8]) {
+    write_varint(out, counters.len() as u64);
+    for four in counters.chunks(4) {
+        out.push(
+            four.iter()
+                .enumerate()
+                .fold(0, |byte, (i, &c)| byte | (c << (2 * i))),
+        );
+    }
+}
+
+/// Restores a table written by [`put_counters`] into the same-size
+/// `counters`. Every unpacked value is a valid counter (0..=3).
+fn take_counters(bytes: &mut &[u8], counters: &mut [u8]) -> Result<(), String> {
+    let n = take_varint(bytes, "counter table size")?;
+    if n != counters.len() as u64 {
+        return Err(format!(
+            "predictor shape mismatch: {n} counters, expected {}",
+            counters.len()
+        ));
+    }
+    let Some((packed, rest)) = bytes.split_at_checked(counters.len().div_ceil(4)) else {
+        return Err("snapshot payload truncated (counters)".to_owned());
+    };
+    for (four, &byte) in counters.chunks_mut(4).zip(packed) {
+        for (i, c) in four.iter_mut().enumerate() {
+            *c = (byte >> (2 * i)) & 3;
+        }
+    }
+    *bytes = rest;
+    Ok(())
 }
 
 #[inline]
@@ -77,13 +114,11 @@ impl DirectionPredictor for Bimodal {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &self.counters);
+        put_counters(out, &self.counters);
     }
 
     fn load_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
-        let n = self.counters.len();
-        self.counters.copy_from_slice(take_bytes_exact(bytes, n)?);
-        Ok(())
+        take_counters(bytes, &mut self.counters)
     }
 }
 
@@ -123,14 +158,17 @@ impl DirectionPredictor for Gshare {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &self.counters);
-        put_u64(out, self.history);
+        put_counters(out, &self.counters);
+        write_varint(out, self.history);
     }
 
     fn load_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
-        let n = self.counters.len();
-        self.counters.copy_from_slice(take_bytes_exact(bytes, n)?);
-        self.history = take_u64(bytes)? & self.history_mask;
+        take_counters(bytes, &mut self.counters)?;
+        let history = take_varint(bytes, "gshare history")?;
+        if history & !self.history_mask != 0 {
+            return Err(format!("gshare history out of range: {history:#x}"));
+        }
+        self.history = history;
         Ok(())
     }
 }
@@ -182,15 +220,13 @@ impl DirectionPredictor for Tournament {
     fn save_state(&self, out: &mut Vec<u8>) {
         self.bimodal.save_state(out);
         self.gshare.save_state(out);
-        put_bytes(out, &self.chooser);
+        put_counters(out, &self.chooser);
     }
 
     fn load_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
         self.bimodal.load_state(bytes)?;
         self.gshare.load_state(bytes)?;
-        let n = self.chooser.len();
-        self.chooser.copy_from_slice(take_bytes_exact(bytes, n)?);
-        Ok(())
+        take_counters(bytes, &mut self.chooser)
     }
 }
 
@@ -348,6 +384,22 @@ mod tests {
         assert!(small.load_state(&mut bytes.as_slice()).is_err());
         let mut truncated = &bytes[..bytes.len() - 1];
         assert!(Bimodal::new(8).load_state(&mut truncated).is_err());
+    }
+
+    #[test]
+    fn every_packed_byte_loads_as_in_range_counters() {
+        // Every byte value unpacks to four counters in 0..=3, so no
+        // payload can plant a counter that overflows on a taken update.
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, 16);
+        bytes.extend_from_slice(&[0xff; 4]);
+        write_varint(&mut bytes, 0);
+        let mut p = Gshare::new(4);
+        p.load_state(&mut bytes.as_slice()).unwrap();
+        for pc in 0..16 {
+            p.update(pc, true);
+            assert!(p.predict(pc));
+        }
     }
 
     #[test]

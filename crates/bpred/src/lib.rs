@@ -18,7 +18,6 @@
 //! ```
 
 pub mod btb;
-mod codec;
 pub mod direction;
 pub mod ras;
 

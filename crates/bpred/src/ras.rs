@@ -1,6 +1,6 @@
 //! Return-address stack.
 
-use crate::codec::{put_u64, take_u64};
+use fgstp_tracefile::{take_varint, write_varint};
 
 /// A fixed-depth return-address stack with wrap-around overwrite, as in
 /// real frontends (an overflowing push silently drops the oldest entry).
@@ -54,36 +54,37 @@ impl ReturnStack {
         self.len == 0
     }
 
-    /// Appends the full stack state to `out`.
+    /// Appends the full stack state to `out`: a varint depth, every slot
+    /// as a varint (live or not), then varint `top` and `len`.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.entries.len() as u64);
+        write_varint(out, self.entries.len() as u64);
         for &e in &self.entries {
-            put_u64(out, e);
+            write_varint(out, e);
         }
-        put_u64(out, self.top as u64);
-        put_u64(out, self.len as u64);
+        write_varint(out, self.top as u64);
+        write_varint(out, self.len as u64);
     }
 
     /// Restores state written by [`ReturnStack::save_state`] on a
     /// same-depth stack, consuming it from the front of `bytes`.
     pub fn load_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
-        let depth = take_u64(bytes)? as usize;
-        if depth != self.entries.len() {
+        let depth = take_varint(bytes, "ras depth")?;
+        if depth != self.entries.len() as u64 {
             return Err(format!(
                 "ras shape mismatch: depth {depth}, expected {}",
                 self.entries.len()
             ));
         }
         for e in &mut self.entries {
-            *e = take_u64(bytes)?;
+            *e = take_varint(bytes, "ras entry")?;
         }
-        let top = take_u64(bytes)? as usize;
-        let len = take_u64(bytes)? as usize;
+        let top = take_varint(bytes, "ras top")?;
+        let len = take_varint(bytes, "ras len")?;
         if top >= depth || len > depth {
             return Err(format!("ras snapshot out of range: top {top}, len {len}"));
         }
-        self.top = top;
-        self.len = len;
+        self.top = top as usize;
+        self.len = len as usize;
         Ok(())
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::codec::{put_u64, take_u64, take_u8};
+use fgstp_tracefile::{take_count, take_varint, write_varint};
 
 /// Static cache geometry and latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,13 +111,17 @@ pub struct AccessResult {
     pub writeback: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
     dirty: bool,
     last_use: u64,
 }
+
+/// Lead byte of a run of never-filled lines in a cache state payload
+/// (line flags take the values 0..=3).
+const NEVER_FILLED_RUN: u8 = 4;
 
 /// A set-associative, write-back, write-allocate cache with true-LRU
 /// replacement.
@@ -231,60 +235,117 @@ impl Cache {
         }
     }
 
-    /// Appends the full cache state — geometry check header, LRU clock,
-    /// statistics and every line's (tag, valid, dirty, last-use) — to
-    /// `out`, for checkpointed-sampling snapshots.
+    /// Appends the full cache state to `out`, for checkpointed-sampling
+    /// snapshots. Its size follows the lines the cache holds, not its
+    /// capacity:
+    ///
+    /// ```text
+    /// varint sets | varint assoc | varint use_counter
+    /// | varint accesses, hits, misses, writebacks, prefetch_fills
+    /// | item* covering every line, set by set, way by way
+    /// item: 4 | varint n                    n ≥ 1 never-filled lines
+    ///     | flags | varint tag | varint age one line; flags = valid | dirty << 1
+    /// ```
+    ///
+    /// A never-filled line is invalid, clean, tag 0 and LRU stamp 0 (the
+    /// state [`Cache::new`] creates); any other line, including one
+    /// invalidated after a fill, is written whole. `age` is
+    /// `use_counter - last_use`, small for recently used lines.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.sets.len() as u64);
-        put_u64(out, u64::from(self.config.assoc));
-        put_u64(out, self.use_counter);
-        put_u64(out, self.stats.accesses);
-        put_u64(out, self.stats.hits);
-        put_u64(out, self.stats.misses);
-        put_u64(out, self.stats.writebacks);
-        put_u64(out, self.stats.prefetch_fills);
-        for set in &self.sets {
-            for line in set {
-                put_u64(out, line.tag);
-                out.push(u8::from(line.valid) | (u8::from(line.dirty) << 1));
-                put_u64(out, line.last_use);
-            }
+        write_varint(out, self.sets.len() as u64);
+        write_varint(out, u64::from(self.config.assoc));
+        write_varint(out, self.use_counter);
+        let s = &self.stats;
+        for v in [s.accesses, s.hits, s.misses, s.writebacks, s.prefetch_fills] {
+            write_varint(out, v);
         }
+        let mut run = 0u64;
+        let flush = |out: &mut Vec<u8>, run: &mut u64| {
+            if *run > 0 {
+                out.push(NEVER_FILLED_RUN);
+                write_varint(out, std::mem::take(run));
+            }
+        };
+        for line in self.sets.iter().flatten() {
+            if *line == Line::default() {
+                run += 1;
+                continue;
+            }
+            flush(out, &mut run);
+            out.push(u8::from(line.valid) | (u8::from(line.dirty) << 1));
+            write_varint(out, line.tag);
+            write_varint(out, self.use_counter - line.last_use);
+        }
+        flush(out, &mut run);
     }
 
     /// Restores state written by [`Cache::save_state`] on a same-geometry
-    /// cache, consuming it from the front of `bytes`. A geometry mismatch
-    /// or truncation is an `Err` (the cache is then unspecified — discard
-    /// it), never a panic.
+    /// cache, consuming it from the front of `bytes`. A geometry mismatch,
+    /// truncation, or a field no run of this cache can produce (an age
+    /// beyond the LRU clock, a tag beyond the address space, a run past
+    /// the last line) is an `Err` (the cache is then unspecified —
+    /// discard it), never a panic.
     pub fn load_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
-        let sets = take_u64(bytes)? as usize;
-        let assoc = take_u64(bytes)?;
-        if sets != self.sets.len() || assoc != u64::from(self.config.assoc) {
+        let sets = take_varint(bytes, "cache sets")?;
+        let assoc = take_varint(bytes, "cache assoc")?;
+        if sets != self.sets.len() as u64 || assoc != u64::from(self.config.assoc) {
             return Err(format!(
                 "cache shape mismatch: {sets}x{assoc}, expected {}x{}",
                 self.sets.len(),
                 self.config.assoc
             ));
         }
-        self.use_counter = take_u64(bytes)?;
+        let clock = take_count(bytes, "cache clock")?;
+        self.use_counter = clock;
         self.stats = CacheStats {
-            accesses: take_u64(bytes)?,
-            hits: take_u64(bytes)?,
-            misses: take_u64(bytes)?,
-            writebacks: take_u64(bytes)?,
-            prefetch_fills: take_u64(bytes)?,
+            accesses: take_count(bytes, "cache accesses")?,
+            hits: take_count(bytes, "cache hits")?,
+            misses: take_count(bytes, "cache misses")?,
+            writebacks: take_count(bytes, "cache writebacks")?,
+            prefetch_fills: take_count(bytes, "cache prefetch fills")?,
         };
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = take_u64(bytes)?;
-                let flags = take_u8(bytes)?;
-                if flags > 3 {
-                    return Err(format!("bad cache line flags {flags}"));
+        // The largest line number an address maps to; `fill_line` turns
+        // a victim's (tag, set) back into an address.
+        let max_line = u64::MAX / self.config.line_bytes;
+        let mut run = 0u64;
+        for (set, ways) in self.sets.iter_mut().enumerate() {
+            let max_tag = (max_line - set as u64) / sets;
+            for line in ways {
+                if run == 0 {
+                    let Some((&head, rest)) = bytes.split_first() else {
+                        return Err("snapshot payload truncated (cache line)".to_owned());
+                    };
+                    *bytes = rest;
+                    if head == NEVER_FILLED_RUN {
+                        run = take_varint(bytes, "cache run")?;
+                        if run == 0 {
+                            return Err("empty never-filled run in cache state".to_owned());
+                        }
+                    } else if head > 3 {
+                        return Err(format!("bad cache line flags {head}"));
+                    } else {
+                        let tag = take_varint(bytes, "cache tag")?;
+                        let age = take_varint(bytes, "cache age")?;
+                        if tag > max_tag || age > clock {
+                            return Err(format!("cache line out of range: tag {tag}, age {age}"));
+                        }
+                        *line = Line {
+                            tag,
+                            valid: head & 1 != 0,
+                            dirty: head & 2 != 0,
+                            last_use: clock - age,
+                        };
+                        continue;
+                    }
                 }
-                line.valid = flags & 1 != 0;
-                line.dirty = flags & 2 != 0;
-                line.last_use = take_u64(bytes)?;
+                *line = Line::default();
+                run -= 1;
             }
+        }
+        if run > 0 {
+            return Err(format!(
+                "never-filled run overruns the cache by {run} lines"
+            ));
         }
         Ok(())
     }
@@ -436,6 +497,45 @@ mod tests {
         c.access(0x40, false); // should evict 0x00 (LRU), not 0x20
         assert!(!c.probe(0x00));
         assert!(c.probe(0x20));
+    }
+
+    #[test]
+    fn load_state_rejects_fields_no_run_produces() {
+        // A `tiny()` payload with LRU clock 10 and zero statistics; every
+        // item value below is under 128, so its varint is one byte.
+        let payload = |items: &[u64]| {
+            let mut out = Vec::new();
+            for v in [2, 2, 10, 0, 0, 0, 0, 0].iter().chain(items) {
+                write_varint(&mut out, *v);
+            }
+            out
+        };
+        let load = |bytes: Vec<u8>| {
+            let mut c = tiny();
+            c.load_state(&mut bytes.as_slice()).map(|()| c)
+        };
+        // The largest tag an address maps to in set 1.
+        let max_tag = (u64::MAX / 16 - 1) / 2;
+        let mut bytes = payload(&[4, 3, 3]);
+        write_varint(&mut bytes, max_tag);
+        bytes.push(0);
+        let mut c = load(bytes).expect("three never-filled lines, one dirty line");
+        // Evicting that dirty line turns its tag back into an address.
+        assert_eq!(c.access(16, false).writeback, None);
+        assert_eq!(c.access(48, false).writeback, Some((max_tag * 2 + 1) * 16));
+
+        let mut bytes = payload(&[4, 3, 3]);
+        write_varint(&mut bytes, max_tag + 1);
+        bytes.push(0);
+        assert!(load(bytes).is_err(), "tag beyond the address space");
+        assert!(
+            load(payload(&[4, 3, 3, 5, 11])).is_err(),
+            "age beyond the clock"
+        );
+        assert!(load(payload(&[4, 0, 4, 4])).is_err(), "empty run");
+        assert!(load(payload(&[4, 5])).is_err(), "run past the last line");
+        assert!(load(payload(&[5, 4, 4])).is_err(), "unknown lead byte");
+        assert!(load(payload(&[4, 4])).is_ok());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Two-level cache hierarchy with per-core L1s and a shared L2.
 
+use fgstp_tracefile::{take_varint, write_varint};
+
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::mshr::MshrFile;
 use crate::prefetch::StridePrefetcher;
@@ -530,15 +532,15 @@ impl Hierarchy {
         self.l1d[core].probe(self.eff(core, addr))
     }
 
-    /// Appends the hierarchy's *warm* state — every cache's tags, LRU
-    /// clocks and statistics — to `out`, for checkpointed-sampling
-    /// snapshots. Functional warming ([`Hierarchy::warm_data`] /
-    /// [`Hierarchy::warm_inst`]) only ever moves this state: MSHRs,
-    /// prefetchers, the DRAM channel and invalidation counters stay at
-    /// their initial values, so they are reconstructed from the config on
-    /// load rather than serialized.
+    /// Appends the hierarchy's *warm* state — a varint core count, then
+    /// every cache's [`Cache::save_state`] payload (L1Is, L1Ds, L2) — to
+    /// `out`, for checkpointed-sampling snapshots. Functional warming
+    /// ([`Hierarchy::warm_data`] / [`Hierarchy::warm_inst`]) only ever
+    /// moves this state: MSHRs, prefetchers, the DRAM channel and
+    /// invalidation counters stay at their initial values, so they are
+    /// reconstructed from the config on load rather than serialized.
     pub fn save_warm_state(&self, out: &mut Vec<u8>) {
-        crate::codec::put_u64(out, self.config.cores as u64);
+        write_varint(out, self.config.cores as u64);
         for c in self.l1i.iter().chain(&self.l1d) {
             c.save_state(out);
         }
@@ -550,8 +552,8 @@ impl Hierarchy {
     /// Any mismatch is an `Err` (the hierarchy is then unspecified —
     /// discard it), never a panic.
     pub fn load_warm_state(&mut self, bytes: &mut &[u8]) -> Result<(), String> {
-        let cores = crate::codec::take_u64(bytes)? as usize;
-        if cores != self.config.cores {
+        let cores = take_varint(bytes, "hierarchy cores")?;
+        if cores != self.config.cores as u64 {
             return Err(format!(
                 "hierarchy shape mismatch: {cores} cores, expected {}",
                 self.config.cores

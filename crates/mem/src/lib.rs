@@ -24,7 +24,6 @@
 //! ```
 
 pub mod cache;
-mod codec;
 pub mod hierarchy;
 pub mod mshr;
 pub mod prefetch;

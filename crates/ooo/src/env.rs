@@ -8,6 +8,7 @@
 
 use fgstp_bpred::{Btb, DirectionPredictor, ReturnStack};
 use fgstp_isa::{DynInst, InstClass, Op};
+use fgstp_tracefile::{take_count, write_varint};
 
 use crate::config::CoreConfig;
 use crate::stream::ExecInst;
@@ -126,14 +127,14 @@ impl PredictorState {
     }
 
     /// Appends the full predictor-bundle state — direction tables, BTB,
-    /// RAS and the cumulative branch counters — to `out`, for
-    /// checkpointed-sampling snapshots.
+    /// RAS, then the cumulative branch counters as varints — to `out`,
+    /// for checkpointed-sampling snapshots.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         self.dir.save_state(out);
         self.btb.save_state(out);
         self.ras.save_state(out);
-        out.extend_from_slice(&self.branches.to_le_bytes());
-        out.extend_from_slice(&self.mispredicts.to_le_bytes());
+        write_varint(out, self.branches);
+        write_varint(out, self.mispredicts);
     }
 
     /// Restores state written by [`PredictorState::save_state`] on a
@@ -144,15 +145,8 @@ impl PredictorState {
         self.dir.load_state(bytes)?;
         self.btb.load_state(bytes)?;
         self.ras.load_state(bytes)?;
-        let mut take = || -> Result<u64, String> {
-            let Some((head, rest)) = bytes.split_first_chunk::<8>() else {
-                return Err("predictor snapshot truncated".to_owned());
-            };
-            *bytes = rest;
-            Ok(u64::from_le_bytes(*head))
-        };
-        self.branches = take()?;
-        self.mispredicts = take()?;
+        self.branches = take_count(bytes, "branches")?;
+        self.mispredicts = take_count(bytes, "mispredicts")?;
         Ok(())
     }
 

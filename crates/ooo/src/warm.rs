@@ -12,6 +12,7 @@
 use fgstp_isa::reg::NUM_REGS;
 use fgstp_isa::{DynInst, InstClass};
 use fgstp_mem::{Hierarchy, HierarchyConfig};
+use fgstp_tracefile::{take_varint, write_varint, zigzag_decode, zigzag_encode};
 
 use crate::config::CoreConfig;
 use crate::env::PredictorState;
@@ -74,16 +75,20 @@ impl WarmState {
         }
     }
 
-    /// Serializes the full warm state — hierarchy, predictor bundle and
-    /// architectural registers — into one byte payload. The payload is
-    /// shape-checked but unversioned and unchecksummed; the snapshot
-    /// container in `fgstp-tracefile` adds both.
+    /// Serializes the full warm state — hierarchy
+    /// ([`Hierarchy::save_warm_state`]), predictor bundle
+    /// ([`PredictorState::save_state`]) and the architectural registers as
+    /// zigzag varints — into one byte payload whose size follows what the
+    /// caches and predictors hold, not their capacity (see DESIGN.md
+    /// "Live-points"). The payload is shape-checked but unversioned and
+    /// unchecksummed; the snapshot container in `fgstp-tracefile` adds
+    /// both.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.mem.save_warm_state(&mut out);
         self.pred.save_state(&mut out);
-        for r in &self.regs {
-            out.extend_from_slice(&r.to_le_bytes());
+        for &r in &self.regs {
+            write_varint(&mut out, zigzag_encode(r as i64));
         }
         out
     }
@@ -102,11 +107,7 @@ impl WarmState {
         w.mem.load_warm_state(&mut r)?;
         w.pred.load_state(&mut r)?;
         for reg in &mut w.regs {
-            let Some((head, rest)) = r.split_first_chunk::<8>() else {
-                return Err("warm-state snapshot truncated (regs)".to_owned());
-            };
-            r = rest;
-            *reg = u64::from_le_bytes(*head);
+            *reg = zigzag_decode(take_varint(&mut r, "register")?) as u64;
         }
         if !r.is_empty() {
             return Err(format!(

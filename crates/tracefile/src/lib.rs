@@ -62,7 +62,9 @@ mod varint;
 
 pub use cache::TraceCache;
 pub use snapshot::{SnapshotFile, SNAPSHOT_VERSION};
-pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
+pub use varint::{
+    read_varint, take_count, take_varint, write_varint, zigzag_decode, zigzag_encode, MAX_COUNT,
+};
 
 const MAGIC: &[u8; 4] = b"FGTR";
 

@@ -23,6 +23,14 @@
 //! shape. Both failure layers degrade identically: the caller treats the
 //! snapshot as a miss and re-warms from the trace.
 //!
+//! [`SNAPSHOT_VERSION`] versions the payloads as well as the container.
+//! Version 2 payloads are content-sized: caches write runs of
+//! never-filled lines as one count and every other line as a flags byte,
+//! a varint tag and a varint LRU age; predictors pack their 2-bit
+//! counters four per byte and the BTB writes only present entries; every
+//! other scalar is a varint ([`crate::write_varint`]). Version 1 wrote
+//! every line and table entry at a fixed width and has no decoder.
+//!
 //! Cache files live next to trace files as `<key>-s<SNAPSHOT_VERSION>.fgss`
 //! with the same fail-safe invalidation rules as traces: a version bump
 //! orphans old files by renaming them out of existence, and a corrupt or
@@ -39,7 +47,7 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"FGSS";
 /// and into `ExperimentSpec` dedup keys; bumping it orphans every stored
 /// snapshot (they are re-generated on the next sampled run) without
 /// touching trace files.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A serialized set of live-points: one opaque warm-state payload per
 /// detailed window of a sampled run, plus the end-of-trace state.

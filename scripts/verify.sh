@@ -57,6 +57,15 @@ if ! cmp -s <(grep -v "live-points:" target/e18_cli_a.txt) \
   diff target/e18_cli_a.txt target/e18_cli_b.txt || true
   exit 1
 fi
+# Live-points are content-sized: chase_long fills the whole L2, so this is
+# the largest live-point set at test scale (2.36 MB). Encoded at a fixed
+# width per cache line and table entry, the same set takes 9.35 MB.
+fgss_bytes=$(find target/trace-cache -name '*.fgss' -printf '%s\n' |
+  awk '{ s += $1 } END { print s + 0 }')
+if [ "$fgss_bytes" -ge 4000000 ]; then
+  echo "live-points for chase_long take $fgss_bytes bytes (limit: under 4 MB)"
+  exit 1
+fi
 
 echo "== batch-service smoke (fgstpd round trip matches recorded E1 row)"
 cargo build --release -q -p fgstp-service
