@@ -11,8 +11,9 @@
 //!   memory, and a per-instruction trace record pushed into a freshly
 //!   allocated vector (pre-PR, every functional consumer went through
 //!   `trace_program`, which materialized the full decoded trace), and
-//! * **threaded** — `PreProgram` lowering plus `ThreadedMachine::run`,
-//!   the engine tracing actually uses,
+//! * **threaded** — `PreProgram` lowering plus the untraced
+//!   `ThreadedMachine::run`, which shares its one dispatcher with
+//!   `run_trace`, the loop tracing actually uses,
 //!
 //! and records functional MIPS (architecturally executed instructions per
 //! wall-clock second) for both plus their ratio. Results go to

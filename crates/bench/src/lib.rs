@@ -3,9 +3,10 @@
 //! Experiment harness for the Fg-STP reproduction. Each `exp_*` binary in
 //! `src/bin/` regenerates one table or figure of the paper's evaluation —
 //! see the per-experiment index in `DESIGN.md` and the recorded
-//! paper-vs-measured comparison in `EXPERIMENTS.md`. The `benches/`
-//! directory holds a dependency-free wall-clock benchmark of the
-//! simulator's hot paths.
+//! paper-vs-measured comparison in `EXPERIMENTS.md`. Two more binaries
+//! time the simulator itself: `bench_hotloop` (the timing machines) and
+//! `bench_functional` (the functional interpreter), both gated by
+//! `scripts/perf_gate.sh`.
 //!
 //! Every binary accepts the shared [`fgstp_sim::ExperimentSpec`] flag
 //! vocabulary (an optional scale word, `--workloads=a,b` to narrow the

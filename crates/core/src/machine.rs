@@ -534,11 +534,6 @@ impl PreparedProgram {
     pub fn is_empty(&self) -> bool {
         self.stream.is_empty()
     }
-
-    /// The partitioning summary.
-    pub fn partition_stats(&self) -> &PartitionStats {
-        &self.stats
-    }
 }
 
 /// One steppable Fg-STP machine instance over a [`PreparedProgram`]: the

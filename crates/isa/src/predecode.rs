@@ -4,16 +4,15 @@
 //! visit: it matches on the full [`Op`] space, resolves memory widths and
 //! sign-extensions through `Option`-returning helpers, and materializes a
 //! [`crate::machine::ExecInfo`] per step whether or not anyone is tracing.
-//! That is fine for an oracle but it bounds trace generation, SMARTS
-//! functional warming and the differential-fuzz harness — the one path
-//! every frontend shares.
+//! That is fine for an oracle but it bounds trace generation, which every
+//! timing model replays.
 //!
 //! This module lowers a [`Program`] **once** into a flat pre-decoded op
 //! table ([`PreProgram`]): each static [`Inst`] becomes a `PreInst`
 //! carrying a resolved dispatch `Kind` (the jump-table index), raw
 //! register indices, the immediate, and — for memory ops — the access
-//! width and sign-extension flag. [`ThreadedMachine`] then runs a
-//! threaded-code `step`/`run` loop over that table: one dense match per
+//! width and sign-extension flag. [`ThreadedMachine`] then executes that
+//! table through one threaded-code dispatcher: one dense match per
 //! dynamic instruction (compiled to a jump table), with the hot
 //! ALU/FP/branch/load/store cases inlined and the cold tail (integer
 //! divide/remainder) funnelled through
@@ -23,15 +22,10 @@
 //! page-table hash lookup on same-page streaks, with a within-page fast
 //! path for accesses that do not straddle a page boundary.
 //!
-//! On top of the scalar table, lowering also builds a static *pair* table
-//! (`PairEntry`): for every pc whose instruction and fall-through
-//! successor are both fusable (compute/load/store, plus a trailing
-//! branch), a single 16-byte entry carries both halves' kinds, operands
-//! and immediates, with first-half→second-half operand forwarding
-//! resolved at decode time (the `FWD` bit). The untraced `run` loop
-//! retires two instructions per iteration through exactly two jump-table
-//! dispatches; `step` and `run_trace` stay on the scalar table so every
-//! recorded [`DynInst`] stream is oracle-shaped.
+//! `step`, `run` and `run_trace` differ only in the record sink they hand
+//! that dispatcher: `step` keeps the one record it returns, `run` builds
+//! none (the record path compiles out) and `run_trace` appends every
+//! [`DynInst`] to the trace.
 //!
 //! `Machine` stays the reference oracle: `ThreadedMachine` is
 //! architecturally equivalent by construction and the differential-fuzz
@@ -206,12 +200,10 @@ fn lower(inst: Inst) -> PreInst {
 }
 
 /// Pure compute semantics over pre-decoded kinds: the single source of
-/// every inlined ALU/FP expression in this module. Scalar dispatch arms
-/// call it with a constant kind (the match folds to the one expression);
-/// fused pair halves call it with the kind loaded from the pair entry
-/// (one dense jump table, no `Option` plumbing). The integer
-/// divide/remainder tail funnels through [`eval_compute`] so the rare
-/// opcodes share one semantics definition with the oracle.
+/// every inlined ALU/FP expression in this module. The dispatch arms call
+/// it with a constant kind, so the match folds to the one expression. The
+/// integer divide/remainder tail funnels through [`eval_compute`] so the
+/// rare opcodes share one semantics definition with the oracle.
 #[inline(always)]
 fn alu_val(k: Kind, a: u64, b: u64, imm: i64) -> u64 {
     match k {
@@ -269,145 +261,6 @@ fn cond_val(k: Kind, a: u64, b: u64) -> bool {
     }
 }
 
-/// One fused fall-through pair, built by the decode-once pass for every
-/// pc whose instruction and successor are both simple (no control
-/// transfer into the middle matters: entering at `pc + 1` by a jump still
-/// dispatches the second instruction's own scalar entry). Fully
-/// self-contained — 16 bytes carrying both halves' kinds and operands —
-/// so the fused `run` loop fetches exactly one dense table entry per two
-/// instructions and dispatches each half through a single jump table of
-/// arms that fold to [`alu_val`]/[`cond_val`]/fixed-width memory
-/// expressions — the same single-source semantics the scalar dispatch
-/// arms fold over.
-///
-/// The top bits of `rs1b`/`rs2b` ([`FWD`]) are the decode-time dependence
-/// resolution: they mark that the second half's first/second operand
-/// register *is* the first half's destination, so the executed value is
-/// forwarded in a machine register instead of round-tripping through the
-/// architectural register file (a store-to-load forwarding stall per
-/// dependent instruction — the dominant latency of interpreting serial
-/// guest code).
-///
-/// Pairs whose immediates do not fit in `i32` stay unfused (assembled
-/// programs never produce them; the decode pass just refuses rather than
-/// truncating).
-#[derive(Debug, Clone, Copy)]
-struct PairEntry {
-    /// First-half kind; [`Kind::Nop`] (never fusable) marks "no pair".
-    k1: Kind,
-    /// Second-half kind.
-    k2: Kind,
-    /// First-half operands; `rd1` is pre-remapped (`x0` → [`RD_SINK`]).
-    rd1: u8,
-    rs11: u8,
-    rs21: u8,
-    /// Second-half destination, pre-remapped likewise.
-    rd2: u8,
-    /// Second-half source indices, with [`FWD`] set when the operand is
-    /// the first half's result.
-    rs1b: u8,
-    rs2b: u8,
-    imm1: i32,
-    /// Second-half immediate (branch target for branch second halves).
-    imm2: i32,
-}
-
-/// Flag bit in [`PairEntry::rs1b`]/[`PairEntry::rs2b`]: take the first
-/// half's result instead of reading the register file.
-const FWD: u8 = 0x80;
-
-impl PairEntry {
-    const NONE: PairEntry = PairEntry {
-        k1: Kind::Nop,
-        k2: Kind::Nop,
-        rd1: RD_SINK,
-        rs11: 0,
-        rs21: 0,
-        rd2: RD_SINK,
-        rs1b: 0,
-        rs2b: 0,
-        imm1: 0,
-        imm2: 0,
-    };
-}
-
-/// Behaviour class of one instruction for pair fusion.
-#[derive(Clone, Copy, PartialEq)]
-enum HalfClass {
-    Compute,
-    Load,
-    Store,
-    Branch,
-}
-
-/// Classifies a pre-decoded kind for fusion; `None` for control
-/// transfers that cannot sit in a fused pair (`jal`/`jalr`/`halt`) and
-/// for `nop`.
-fn half_class(k: Kind) -> Option<HalfClass> {
-    Some(match k {
-        Kind::Lb | Kind::Lbu | Kind::Lh | Kind::Lhu | Kind::Lw | Kind::Lwu | Kind::Ld8 => {
-            HalfClass::Load
-        }
-        Kind::Sb | Kind::Sh | Kind::Sw | Kind::Sd8 => HalfClass::Store,
-        Kind::Beq | Kind::Bne | Kind::Blt | Kind::Bge | Kind::Bltu | Kind::Bgeu => {
-            HalfClass::Branch
-        }
-        Kind::Jal | Kind::Jalr | Kind::Nop | Kind::Halt => return None,
-        _ => HalfClass::Compute,
-    })
-}
-
-/// Builds the fused-pair table: one entry per pc, fusing `insts[pc]` with
-/// its fall-through successor whenever the first is Compute/Load/Store
-/// and the second is Compute/Load/Store/Branch.
-fn build_pairs(insts: &[Inst]) -> Vec<PairEntry> {
-    let mut pairs = vec![PairEntry::NONE; insts.len()];
-    for (pc, pair) in insts.windows(2).enumerate() {
-        let (a, b) = (pair[0], pair[1]);
-        let (pa, pb) = (lower(a), lower(b));
-        let (Some(first), Some(_second)) = (half_class(pa.kind), half_class(pb.kind)) else {
-            continue;
-        };
-        // A taken branch does not fall through to pc + 1.
-        if first == HalfClass::Branch {
-            continue;
-        }
-        let (Ok(imm1), Ok(imm2)) = (i32::try_from(pa.imm), i32::try_from(pb.imm)) else {
-            continue;
-        };
-        // The first half produces a value (into its rd) unless it is a
-        // store; a non-x0 rd that the second half sources is forwarded.
-        // Store halves never write a register architecturally, so their
-        // destination is forced to the sink regardless of the encoded rd.
-        let rd1 = a.rd.index() as u8;
-        let produces = first != HalfClass::Store && rd1 != 0;
-        let fwd = |rs: u8| {
-            if produces && rs == rd1 {
-                FWD
-            } else {
-                0
-            }
-        };
-        pairs[pc] = PairEntry {
-            k1: pa.kind,
-            k2: pb.kind,
-            rd1: if first == HalfClass::Store {
-                RD_SINK
-            } else {
-                pa.rd
-            },
-            rs11: pa.rs1,
-            rs21: pa.rs2,
-            rd2: pb.rd,
-            rs1b: pb.rs1 | fwd(pb.rs1),
-            rs2b: pb.rs2 | fwd(pb.rs2),
-            imm1,
-            imm2,
-        };
-    }
-    pairs
-}
-
 /// Remaps an architectural destination index for branchless writes:
 /// `x0` goes to the [`RD_SINK`] scratch slot, everything else to itself.
 fn remap_rd(rd: u8) -> u8 {
@@ -427,9 +280,6 @@ fn remap_rd(rd: u8) -> u8 {
 #[derive(Debug, Clone)]
 pub struct PreProgram {
     ops: Vec<PreInst>,
-    /// Fused fall-through pairs, indexed by pc in parallel with `ops`.
-    /// Consumed only by the non-recording `run` loop.
-    pairs: Vec<PairEntry>,
     /// Parallel cold copy of the original instructions, read only when a
     /// sink records (trace generation, `step`) — the plain `run` loop
     /// never touches it.
@@ -443,7 +293,6 @@ impl PreProgram {
     pub fn new(program: &Program) -> PreProgram {
         PreProgram {
             ops: program.insts.iter().copied().map(lower).collect(),
-            pairs: build_pairs(&program.insts),
             insts: program.insts.clone(),
             entry: program.entry,
             data: program.data.clone(),
@@ -463,7 +312,7 @@ impl PreProgram {
 
 /// Where one dynamic record goes. The null sink compiles the whole
 /// record-building path out of the plain `run` loop; the vec sink is the
-/// trace generator.
+/// trace generator; the one-record sink serves `step`.
 trait Sink {
     const RECORD: bool;
     fn emit(&mut self, d: DynInst);
@@ -602,10 +451,12 @@ impl<'p> ThreadedMachine<'p> {
         self.mem.page_bytes_mut(slot)[off..off + w].copy_from_slice(&value.to_le_bytes()[..w]);
     }
 
-    /// One architectural load at a resolved effective address: within-page
-    /// fast path with a straddle fallback, then width extension.
+    /// One architectural load: effective address from `base` + `imm`,
+    /// within-page fast path with a straddle fallback, then width
+    /// extension. Returns `(addr, value)`.
     #[inline(always)]
-    fn load_at(&mut self, a: u64, width: u8, sext: bool) -> u64 {
+    fn load_val(&mut self, base: u8, imm: i64, width: u8, sext: bool) -> (u64, u64) {
+        let a = self.reg(base).wrapping_add(imm as u64);
         let off = (a as usize) & (PAGE_SIZE - 1);
         let w = usize::from(width);
         let raw = if off + w <= PAGE_SIZE {
@@ -613,7 +464,7 @@ impl<'p> ThreadedMachine<'p> {
         } else {
             self.mem.read(a, width)
         };
-        if sext {
+        let v = if sext {
             match width {
                 1 => raw as u8 as i8 as i64 as u64,
                 2 => raw as u16 as i16 as i64 as u64,
@@ -621,12 +472,14 @@ impl<'p> ThreadedMachine<'p> {
             }
         } else {
             raw
-        }
+        };
+        (a, v)
     }
 
-    /// One architectural store at a resolved effective address.
+    /// One architectural store; returns the effective address.
     #[inline(always)]
-    fn store_at(&mut self, a: u64, width: u8, value: u64) {
+    fn store_val(&mut self, base: u8, imm: i64, width: u8, value: u64) -> u64 {
+        let a = self.reg(base).wrapping_add(imm as u64);
         let off = (a as usize) & (PAGE_SIZE - 1);
         let w = usize::from(width);
         if off + w <= PAGE_SIZE {
@@ -634,21 +487,6 @@ impl<'p> ThreadedMachine<'p> {
         } else {
             self.mem.write(a, width, value);
         }
-    }
-
-    /// One architectural load: effective address from `base` + `imm`,
-    /// then [`Self::load_at`]. Returns `(addr, value)`.
-    #[inline(always)]
-    fn load_val(&mut self, base: u8, imm: i64, width: u8, sext: bool) -> (u64, u64) {
-        let a = self.reg(base).wrapping_add(imm as u64);
-        (a, self.load_at(a, width, sext))
-    }
-
-    /// One architectural store; returns the effective address.
-    #[inline(always)]
-    fn store_val(&mut self, base: u8, imm: i64, width: u8, value: u64) -> u64 {
-        let a = self.reg(base).wrapping_add(imm as u64);
-        self.store_at(a, width, value);
         a
     }
 
@@ -760,7 +598,7 @@ impl<'p> ThreadedMachine<'p> {
         // Compute and branch arms call [`alu_val`]/[`cond_val`] with a
         // constant kind: the inner match folds to the one expression, so
         // this stays a single jump table while the semantics live in one
-        // place (shared with the fused pair halves).
+        // place.
         macro_rules! alu {
             ($k:expr) => {
                 compute!(alu_val($k, self.reg(p.rs1), self.reg(p.rs2), p.imm))
@@ -920,204 +758,6 @@ impl<'p> ThreadedMachine<'p> {
         })
     }
 
-    /// Executes the fused fall-through pair at `pc` if the decode pass
-    /// built one, returning the next pc; `None` means the caller must take
-    /// the scalar path (unfused pc, or pc out of range). Fused halves are
-    /// Compute/Load/Store plus Branch-as-second-half only: they never
-    /// fault, never halt and never record, so errors, `halt` and every
-    /// recording sink stay on [`Self::dispatch_at`]. Architecturally this
-    /// is exactly two scalar dispatches back to back.
-    #[inline(always)]
-    fn dispatch_pair(&mut self, pc: u64) -> Option<u64> {
-        let &e = self.pre.pairs.get(pc as usize)?;
-
-        // First half: one jump-table dispatch on `k1`, every arm folding
-        // its width/extension/operation to constants. The `Kind::Nop`
-        // entry marks an unfused pc, so "no pair here" costs the same
-        // dispatch as a real pair's first half — no separate validity
-        // test. `v1` is the produced value; for stores it is the stored
-        // value, written to the sink (the decode pass forces their rd
-        // there) so every arm ends in the same unconditional write.
-        macro_rules! c1 {
-            ($k:expr) => {
-                alu_val($k, self.reg(e.rs11), self.reg(e.rs21), e.imm1 as i64)
-            };
-        }
-        macro_rules! l1 {
-            ($w:expr, $sx:expr) => {{
-                let a = self.reg(e.rs11).wrapping_add(e.imm1 as i64 as u64);
-                self.load_at(a, $w, $sx)
-            }};
-        }
-        macro_rules! s1 {
-            ($w:expr) => {{
-                let v = self.reg(e.rs21);
-                let a = self.reg(e.rs11).wrapping_add(e.imm1 as i64 as u64);
-                self.store_at(a, $w, v);
-                v
-            }};
-        }
-        let v1 = match e.k1 {
-            Kind::Add => c1!(Kind::Add),
-            Kind::Sub => c1!(Kind::Sub),
-            Kind::And => c1!(Kind::And),
-            Kind::Or => c1!(Kind::Or),
-            Kind::Xor => c1!(Kind::Xor),
-            Kind::Sll => c1!(Kind::Sll),
-            Kind::Srl => c1!(Kind::Srl),
-            Kind::Sra => c1!(Kind::Sra),
-            Kind::Slt => c1!(Kind::Slt),
-            Kind::Sltu => c1!(Kind::Sltu),
-            Kind::Mul => c1!(Kind::Mul),
-            Kind::Addi => c1!(Kind::Addi),
-            Kind::Andi => c1!(Kind::Andi),
-            Kind::Ori => c1!(Kind::Ori),
-            Kind::Xori => c1!(Kind::Xori),
-            Kind::Slli => c1!(Kind::Slli),
-            Kind::Srli => c1!(Kind::Srli),
-            Kind::Srai => c1!(Kind::Srai),
-            Kind::Slti => c1!(Kind::Slti),
-            Kind::Li => c1!(Kind::Li),
-            Kind::FAdd => c1!(Kind::FAdd),
-            Kind::FSub => c1!(Kind::FSub),
-            Kind::FMul => c1!(Kind::FMul),
-            Kind::FDiv => c1!(Kind::FDiv),
-            Kind::FSqrt => c1!(Kind::FSqrt),
-            Kind::FMin => c1!(Kind::FMin),
-            Kind::FMax => c1!(Kind::FMax),
-            Kind::FCvtIF => c1!(Kind::FCvtIF),
-            Kind::FCvtFI => c1!(Kind::FCvtFI),
-            Kind::FLt => c1!(Kind::FLt),
-            Kind::FEq => c1!(Kind::FEq),
-            Kind::Div => c1!(Kind::Div),
-            Kind::Rem => c1!(Kind::Rem),
-            Kind::Lb => l1!(1, true),
-            Kind::Lbu => l1!(1, false),
-            Kind::Lh => l1!(2, true),
-            Kind::Lhu => l1!(2, false),
-            Kind::Lw => l1!(4, true),
-            Kind::Lwu => l1!(4, false),
-            Kind::Ld8 => l1!(8, false),
-            Kind::Sb => s1!(1),
-            Kind::Sh => s1!(2),
-            Kind::Sw => s1!(4),
-            Kind::Sd8 => s1!(8),
-            // Branches never lead a pair; Nop marks an unfused pc.
-            _ => return None,
-        };
-        self.set_rd(e.rd1, v1);
-
-        // Second half: operands come from the forwarded first-half value
-        // when the decode pass resolved the dependence ([`FWD`]), else
-        // from the register file (`reg` masks the flag bit away).
-        let a = if e.rs1b & FWD != 0 {
-            v1
-        } else {
-            self.reg(e.rs1b)
-        };
-        let b = if e.rs2b & FWD != 0 {
-            v1
-        } else {
-            self.reg(e.rs2b)
-        };
-        macro_rules! c2 {
-            ($k:expr) => {{
-                let v = alu_val($k, a, b, e.imm2 as i64);
-                self.set_rd(e.rd2, v);
-                pc + 2
-            }};
-        }
-        macro_rules! b2 {
-            ($k:expr) => {{
-                if cond_val($k, a, b) {
-                    e.imm2 as i64 as u64
-                } else {
-                    pc + 2
-                }
-            }};
-        }
-        macro_rules! l2 {
-            ($w:expr, $sx:expr) => {{
-                let ad = a.wrapping_add(e.imm2 as i64 as u64);
-                let v = self.load_at(ad, $w, $sx);
-                self.set_rd(e.rd2, v);
-                pc + 2
-            }};
-        }
-        macro_rules! s2 {
-            ($w:expr) => {{
-                let ad = a.wrapping_add(e.imm2 as i64 as u64);
-                self.store_at(ad, $w, b);
-                pc + 2
-            }};
-        }
-        Some(match e.k2 {
-            Kind::Add => c2!(Kind::Add),
-            Kind::Sub => c2!(Kind::Sub),
-            Kind::And => c2!(Kind::And),
-            Kind::Or => c2!(Kind::Or),
-            Kind::Xor => c2!(Kind::Xor),
-            Kind::Sll => c2!(Kind::Sll),
-            Kind::Srl => c2!(Kind::Srl),
-            Kind::Sra => c2!(Kind::Sra),
-            Kind::Slt => c2!(Kind::Slt),
-            Kind::Sltu => c2!(Kind::Sltu),
-            Kind::Mul => c2!(Kind::Mul),
-            Kind::Addi => c2!(Kind::Addi),
-            Kind::Andi => c2!(Kind::Andi),
-            Kind::Ori => c2!(Kind::Ori),
-            Kind::Xori => c2!(Kind::Xori),
-            Kind::Slli => c2!(Kind::Slli),
-            Kind::Srli => c2!(Kind::Srli),
-            Kind::Srai => c2!(Kind::Srai),
-            Kind::Slti => c2!(Kind::Slti),
-            Kind::Li => c2!(Kind::Li),
-            Kind::FAdd => c2!(Kind::FAdd),
-            Kind::FSub => c2!(Kind::FSub),
-            Kind::FMul => c2!(Kind::FMul),
-            Kind::FDiv => c2!(Kind::FDiv),
-            Kind::FSqrt => c2!(Kind::FSqrt),
-            Kind::FMin => c2!(Kind::FMin),
-            Kind::FMax => c2!(Kind::FMax),
-            Kind::FCvtIF => c2!(Kind::FCvtIF),
-            Kind::FCvtFI => c2!(Kind::FCvtFI),
-            Kind::FLt => c2!(Kind::FLt),
-            Kind::FEq => c2!(Kind::FEq),
-            Kind::Div => c2!(Kind::Div),
-            Kind::Rem => c2!(Kind::Rem),
-            Kind::Lb => l2!(1, true),
-            Kind::Lbu => l2!(1, false),
-            Kind::Lh => l2!(2, true),
-            Kind::Lhu => l2!(2, false),
-            Kind::Lw => l2!(4, true),
-            Kind::Lwu => l2!(4, false),
-            Kind::Ld8 => l2!(8, false),
-            Kind::Sb => s2!(1),
-            Kind::Sh => s2!(2),
-            Kind::Sw => s2!(4),
-            Kind::Sd8 => s2!(8),
-            Kind::Beq => b2!(Kind::Beq),
-            Kind::Bne => b2!(Kind::Bne),
-            Kind::Blt => b2!(Kind::Blt),
-            Kind::Bge => b2!(Kind::Bge),
-            Kind::Bltu => b2!(Kind::Bltu),
-            Kind::Bgeu => b2!(Kind::Bgeu),
-            // The decode pass only fuses simple second halves.
-            Kind::Jal | Kind::Jalr | Kind::Nop | Kind::Halt => {
-                unreachable!("control kinds are never fused second halves")
-            }
-        })
-    }
-
-    /// Scalar single-instruction dispatch without recording, kept out of
-    /// line so the fused `run` loop stays small enough to register-
-    /// allocate well — unfused pcs (control transfers, `halt`, the
-    /// limit tail) are the cold minority there.
-    #[inline(never)]
-    fn dispatch_scalar(&mut self, pc: u64) -> Result<u64, ExecError> {
-        self.dispatch_at(pc, &mut NullSink)
-    }
-
     /// Executes one instruction, mirroring [`crate::Machine::step`].
     ///
     /// # Errors
@@ -1174,23 +814,7 @@ impl<'p> ThreadedMachine<'p> {
             if n >= limit {
                 break Err(ExecError::StepLimit { limit });
             }
-            // Fused fast path: pairs cannot halt or fault, so the inner
-            // loop checks nothing but limit headroom (two steps, keeping
-            // `StepLimit` exact to the instruction — the scalar dispatch
-            // below handles the tail and every unfused pc).
-            while n + 2 <= limit {
-                match self.dispatch_pair(pc) {
-                    Some(next) => {
-                        pc = next;
-                        n += 2;
-                    }
-                    None => break,
-                }
-            }
-            if n >= limit {
-                break Err(ExecError::StepLimit { limit });
-            }
-            match self.dispatch_scalar(pc) {
+            match self.dispatch_at(pc, &mut NullSink) {
                 Ok(next) => {
                     pc = next;
                     n += 1;
@@ -1459,17 +1083,8 @@ mod tests {
         assert!(std::mem::size_of::<PreInst>() <= 16);
     }
 
-    #[test]
-    fn pair_entries_stay_within_sixteen_bytes() {
-        // The fused loop streams one PairEntry per two instructions; at
-        // 16 bytes a pair costs what one scalar PreInst does.
-        assert_eq!(std::mem::size_of::<PairEntry>(), 16);
-    }
-
     /// Runs `run(limit)` on both machines for every limit in `limits` and
     /// asserts identical outcome, register file, pc and executed count.
-    /// Odd limits land mid-pair, pinning the fused loop's StepLimit
-    /// exactness (it must fall back to scalar for the final instruction).
     fn assert_run_parity(src: &str, limits: &[u64]) {
         let p = assemble(src).expect("assembles");
         let pre = PreProgram::new(&p);
@@ -1490,10 +1105,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_run_matches_oracle_at_every_limit() {
-        // Straight-line fusable body (compute/load/store pairs) inside a
-        // counted loop; sweep limits across and just past both pair
-        // boundaries and the halt.
+    fn run_matches_oracle_at_every_limit() {
+        // A compute/load/store body inside a counted loop; every limit up
+        // to and past the halt must stop on exactly that instruction.
         let src = r#"
                 li   x1, 4
                 li   x2, 0x200
@@ -1512,10 +1126,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_forwarding_feeds_dependent_second_halves() {
-        // Each pair's second half consumes the first half's destination:
-        // the FWD bit must hand the just-computed value across, not the
-        // stale register-file copy. The oracle run pins the values.
+    fn run_feeds_each_result_to_the_next_instruction() {
+        // Each instruction consumes its predecessor's destination, so it
+        // must see the just-written value, not a stale copy. The oracle
+        // run pins the values.
         assert_run_parity(
             r#"
                 li   x1, 3
@@ -1536,10 +1150,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_x0_destination_stays_zero() {
-        // A fused first half targeting x0 must sink its result; the
-        // second half reading x0 must still see zero (no forwarding from
-        // a sunk write).
+    fn run_x0_destination_stays_zero() {
+        // A write targeting x0 lands in the sink slot; the next
+        // instruction reading x0 must still see zero.
         assert_run_parity(
             r#"
                 li   x1, 41
@@ -1554,10 +1167,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_store_first_half_ignores_rd() {
+    fn run_store_ignores_rd() {
         // Handwritten (non-assembler) stores can carry rd != x0; the
-        // oracle ignores a store's rd, so the fused store arm must sink
-        // it rather than write the stored value into rd.
+        // oracle ignores a store's rd, so `run` must not write the stored
+        // value into rd.
         use crate::reg::Reg;
         let r = |i: u8| Reg::from_index(i).unwrap();
         let mk = |op, rd: u8, rs1: u8, rs2: u8, imm: i64| Inst {
@@ -1580,9 +1193,6 @@ mod tests {
             data: vec![],
         };
         let pre = PreProgram::new(&p);
-        // The (sd, add) window must actually have fused for this test to
-        // exercise the sink path.
-        assert!(pre.pairs[2].k1 != Kind::Nop, "sd+add pair did not fuse");
         let mut reference = Machine::new(&p);
         let mut threaded = ThreadedMachine::new(&pre);
         reference.run(100).unwrap();

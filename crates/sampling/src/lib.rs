@@ -113,11 +113,6 @@ impl SampleConfig {
     pub fn unit(&self) -> u64 {
         self.warmup + self.detail
     }
-
-    /// Fraction of the trace simulated in detail (warmup included).
-    pub fn detail_fraction(&self) -> f64 {
-        self.unit() as f64 / self.interval as f64
-    }
 }
 
 /// One measured interval.

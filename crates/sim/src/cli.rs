@@ -27,6 +27,7 @@ use crate::presets::MachineKind;
 use crate::report::Table;
 use crate::runner::{run_on_instrumented_with_cores, run_on_with_cores};
 use crate::session::Session;
+use crate::spec::{parse_machine, parse_scale, ExperimentSpec, SpecError};
 
 /// Error for unknown CLI inputs, carrying a usage hint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,34 +41,11 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn parse_scale(s: Option<&str>) -> Result<Scale, CliError> {
-    match s {
-        None | Some("test") => Ok(Scale::Test),
-        Some("small") => Ok(Scale::Small),
-        Some("reference") => Ok(Scale::Reference),
-        Some(other) => Err(CliError(format!(
-            "unknown scale `{other}` (test|small|reference)"
-        ))),
+/// The CLI reports a spec rejection by its message alone.
+impl From<SpecError> for CliError {
+    fn from(e: SpecError) -> CliError {
+        CliError(e.message)
     }
-}
-
-fn parse_machine(s: Option<&str>) -> Result<MachineKind, CliError> {
-    let Some(s) = s else {
-        return Ok(MachineKind::FgstpSmall);
-    };
-    MachineKind::WITH_SCALING
-        .into_iter()
-        .find(|k| k.label() == s)
-        .ok_or_else(|| {
-            let labels: Vec<&str> = MachineKind::WITH_SCALING
-                .iter()
-                .map(|k| k.label())
-                .collect();
-            CliError(format!(
-                "unknown machine `{s}` (one of: {})",
-                labels.join(", ")
-            ))
-        })
 }
 
 fn find_workload(name: &str, scale: Scale) -> Result<fgstp_workloads::Workload, CliError> {
@@ -108,6 +86,10 @@ pub fn run(workload: &str, machine: Option<&str>, scale: Option<&str>) -> Result
 /// runs use live-point snapshots when `snapshot` is set (the default):
 /// a re-run of the same configuration skips functional warming by
 /// replaying the stored warm states, bit-identically.
+///
+/// The run is checked by [`ExperimentSpec::validate`], the rule list
+/// every frontend shares; only the `--chrome-trace` × `--sample` rule is
+/// the CLI's own.
 #[allow(clippy::too_many_arguments)]
 pub fn run_instrumented(
     workload: &str,
@@ -120,57 +102,34 @@ pub fn run_instrumented(
     snapshot: bool,
 ) -> Result<String, CliError> {
     let (machine, scale) = match (machine, scale) {
-        (Some(m), None) if parse_machine(Some(m)).is_err() && parse_scale(Some(m)).is_ok() => {
-            (None, Some(m))
-        }
+        (Some(m), None) if parse_machine(m).is_err() && parse_scale(m).is_ok() => (None, Some(m)),
         other => other,
     };
-    let scale = parse_scale(scale)?;
-    let kind = parse_machine(machine)?;
-    if cores.is_some() && !kind.is_fgstp() {
-        return Err(CliError(format!(
-            "--cores only applies to Fg-STP machines, not {kind}"
-        )));
-    }
-    if cores == Some(0) {
-        return Err(CliError("--cores needs at least one core".to_owned()));
-    }
-    if let Some(s) = &sample {
-        if cores.is_some() {
-            return Err(CliError(
-                "--cores cannot be combined with --sample".to_owned(),
-            ));
-        }
-        if chrome_trace.is_some() {
-            return Err(CliError(
-                "--chrome-trace is not available under --sample (no episode timeline)".to_owned(),
-            ));
-        }
-        if s.detail == 0 {
-            return Err(CliError(
-                "--sample-detail needs at least one instruction".to_owned(),
-            ));
-        }
-        if s.warmup + s.detail > s.interval {
-            return Err(CliError(format!(
-                "sample warmup ({}) + detail ({}) must fit in the interval ({})",
-                s.warmup, s.detail, s.interval
-            )));
-        }
+    let scale = scale.map_or(Ok(Scale::Test), parse_scale)?;
+    let kind = machine.map_or(Ok(MachineKind::FgstpSmall), parse_machine)?;
+    let spec = ExperimentSpec {
+        scale,
+        machines: vec![kind],
+        workloads: vec![workload.to_owned()],
+        cores,
+        snapshot,
+        telemetry: cpi_stack,
+        sample,
+        ..ExperimentSpec::default()
+    };
+    spec.validate()?;
+    if sample.is_some() && chrome_trace.is_some() {
+        return Err(CliError(
+            "--chrome-trace is not available under --sample (no episode timeline)".to_owned(),
+        ));
     }
     let w = find_workload(workload, scale)?;
-    let session = Session::new().scale(scale);
+    let session = spec.session();
     let trace = session.trace(&w);
     let instrumented = cpi_stack || chrome_trace.is_some();
-    let (r, episodes, snap_stats) = if let Some(scfg) = &sample {
+    let (r, episodes, snap_stats) = if sample.is_some() {
         // The session path gives sampled runs the full live-point
         // machinery: snapshot load/store and parallel window dispatch.
-        let session = session
-            .clone()
-            .machines([kind])
-            .sample(*scfg)
-            .telemetry(cpi_stack)
-            .snapshots(snapshot);
         let mut bench = session.run_workload(&w);
         let r = bench.runs.pop().expect("one machine yields one run");
         (r, Vec::new(), Some(session.snapshot_stats()))
@@ -314,7 +273,7 @@ pub fn run_instrumented(
 /// `compare <workload> [scale]`: all machines side by side (run in
 /// parallel by the session's worker pool).
 pub fn compare(workload: &str, scale: Option<&str>) -> Result<String, CliError> {
-    let scale = parse_scale(scale)?;
+    let scale = scale.map_or(Ok(Scale::Test), parse_scale)?;
     let w = find_workload(workload, scale)?;
     let session = Session::new().scale(scale).machines(MachineKind::ALL);
     let bench = session.run_workload(&w);

@@ -168,8 +168,6 @@ awk 'NF == 5 && $1 ~ /^rv:/ && $4 > 0 { rows++ }
 }
 
 echo "== hot-loop bench smoke + report schema checks"
-# A root `cargo build --release` does not rebuild the bench crate; the
-# explicit -p is load-bearing.
 cargo build --release -q -p fgstp-bench --bin bench_hotloop
 ./target/release/bench_hotloop test --iters=1 --out=target/bench_hotloop_smoke.json
 ./target/release/bench_hotloop --schema-check=target/bench_hotloop_smoke.json

@@ -19,6 +19,7 @@ use fg_stp_repro::isa::{
 };
 use fg_stp_repro::prelude::*;
 use fg_stp_repro::workloads::gen::Xorshift;
+use fg_stp_repro::workloads::CHECKSUM_ADDR;
 
 /// Number of random programs; each runs at 1, 2 and 4 cores.
 const CASES: u64 = 200;
@@ -210,9 +211,13 @@ fn fgstp_matches_sequential_interpreter() {
 /// 1. the [`DynInst`] stream off `ThreadedMachine::run_trace` is
 ///    identical to `trace_program`'s (sequence numbers, pcs, operands,
 ///    addresses, values — everything),
-/// 2. the untraced `run()` path — the only one using decode-time pair
-///    fusion — retires to the same final register file, and
+/// 2. the untraced `run()` path retires to the same final register
+///    file, and
 /// 3. its memory image is byte-exact over the whole reachable region.
+///
+/// Then every SimRISC suite kernel at `Scale::Test` runs through `run()`
+/// against `Machine::run`: the outcome, the register file, the executed
+/// count and the word at [`CHECKSUM_ADDR`] must all match.
 #[test]
 fn threaded_interpreter_matches_reference_oracle() {
     let mut divergences: Vec<String> = Vec::new();
@@ -279,6 +284,58 @@ fn threaded_interpreter_matches_reference_oracle() {
         "{} divergence(s) across {CASES} cases:\n{}",
         divergences.len(),
         divergences.join("\n")
+    );
+
+    let budget = Scale::Test.trace_budget();
+    let mut kernel_divergences: Vec<String> = Vec::new();
+    for w in suite(Scale::Test) {
+        let mut oracle = Machine::new(w.program());
+        let want = oracle.run(budget);
+        let pre = PreProgram::new(w.program());
+        let mut threaded = ThreadedMachine::new(&pre);
+        let got = threaded.run(budget);
+        if got != want {
+            kernel_divergences.push(format!(
+                "{}: run() returned {got:?}, oracle {want:?}",
+                w.name
+            ));
+            continue;
+        }
+        if threaded.regs() != oracle.regs() {
+            let r = (0..oracle.regs().len())
+                .find(|&r| threaded.regs()[r] != oracle.regs()[r])
+                .unwrap();
+            kernel_divergences.push(format!(
+                "{}: run() reg x{r} = {:#x}, oracle has {:#x}",
+                w.name,
+                threaded.regs()[r],
+                oracle.regs()[r]
+            ));
+        }
+        if threaded.executed() != oracle.executed() {
+            kernel_divergences.push(format!(
+                "{}: run() executed {} insts, oracle {}",
+                w.name,
+                threaded.executed(),
+                oracle.executed()
+            ));
+        }
+        let (sum, want_sum) = (
+            threaded.mem().read(CHECKSUM_ADDR, 8),
+            oracle.mem().read(CHECKSUM_ADDR, 8),
+        );
+        if sum != want_sum {
+            kernel_divergences.push(format!(
+                "{}: run() checksum {sum:#x}, oracle has {want_sum:#x}",
+                w.name
+            ));
+        }
+    }
+    assert!(
+        kernel_divergences.is_empty(),
+        "{} kernel divergence(s):\n{}",
+        kernel_divergences.len(),
+        kernel_divergences.join("\n")
     );
 }
 
