@@ -12,7 +12,7 @@
 //!    every client at once (the paper's figures cannot depend on *how*
 //!    the simulator was invoked).
 //! 2. **Dedup** — duplicate submissions are served from the first job's
-//!    rows (trace-cache-versioned dedup key), measured as a hit rate.
+//!    rows, measured as a hit rate.
 //! 3. **Throughput** — completed experiments per second and rows per
 //!    second over the batch, the figure recorded in
 //!    `results/experiments_e15_service.txt`.
@@ -136,8 +136,6 @@ fn main() {
     let dedup = queue.counter("service.dedup-hits");
     let completed = queue.counter("service.completed");
     let rows = queue.counter("service.rows");
-    let trace_hits = queue.counter("service.trace-hits");
-    let trace_misses = queue.counter("service.trace-misses");
 
     Client::connect(addr)
         .expect("connect for shutdown")
@@ -169,10 +167,6 @@ fn main() {
     table.row([
         "rows checked bit-identical".to_owned(),
         client_checked.to_string(),
-    ]);
-    table.row([
-        "trace cache hit rate".to_owned(),
-        format!("{:.1}%", pct(trace_hits, trace_hits + trace_misses)),
     ]);
     table.row([
         "experiments/sec (executed)".to_owned(),

@@ -1,18 +1,18 @@
 //! E18 — live-points: checkpointed, parallel sampled simulation.
 //!
 //! Runs the long-run suite (plus one RV32 program, so both frontends are
-//! covered) under the standard ≥10× sampling regime three times against
-//! the same cache directory:
+//! covered) under the standard ≥10× sampling regime three times; every
+//! phase traces its workloads afresh:
 //!
-//! 1. **cold** — live-point snapshots enabled but absent: one pass of
-//!    continuous functional warming per (workload, machine-shape) job,
-//!    detailed windows fanned out across the worker pool, snapshots
-//!    stored;
-//! 2. **snapshot-warm** — the same configuration replayed: every job
-//!    loads its stored live-points, functional warming is skipped
-//!    entirely (zero instructions warmed), only the detailed windows run;
-//! 3. **snapshots off** — the control: warming repeats and the cache is
-//!    neither consulted nor written.
+//! 1. **cold** — an empty live-point cache: one pass of continuous
+//!    functional warming per (workload, machine-shape) job, detailed
+//!    windows fanned out across the worker pool, snapshots stored;
+//! 2. **snapshot-warm** — the same configuration replayed against that
+//!    cache: every job loads its stored live-points, functional warming
+//!    is skipped entirely (zero instructions warmed), only the detailed
+//!    windows run;
+//! 3. **snapshots off** — the control, with no cache: warming repeats and
+//!    nothing is consulted or written.
 //!
 //! The experiment reports wall-clock, snapshot hit/miss counts, and
 //! instructions warmed per phase, plus the bytes of live-point (`.fgss`)
@@ -78,20 +78,13 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("fgstp-e18-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Pre-populate the trace cache so every phase's wall-clock measures
-    // sampled simulation, not tracing.
-    {
-        let s = args.session().cache_dir(&dir);
-        s.par_map(&workloads, |w| s.trace(w));
-    }
-
-    let run_phase = |snapshots: bool| {
-        let s = args
-            .session()
-            .cache_dir(&dir)
-            .snapshots(snapshots)
-            .sample(scfg)
-            .machines(machines);
+    let run_phase = |cached: bool| {
+        let s = args.session().sample(scfg).machines(machines);
+        let s = if cached {
+            s.cache_dir(&dir)
+        } else {
+            s.no_cache()
+        };
         let t0 = Instant::now();
         let results = s.plan().workloads(workloads.clone()).execute();
         (results, s.snapshot_stats(), t0.elapsed())

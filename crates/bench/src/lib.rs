@@ -11,7 +11,7 @@
 //! Every binary accepts the shared [`fgstp_sim::ExperimentSpec`] flag
 //! vocabulary (an optional scale word, `--workloads=a,b` to narrow the
 //! suite, `--threads=N` to size the session's worker pool, `--no-cache`
-//! to disable the on-disk trace cache, and `--sample` with optional
+//! to disable the on-disk live-point cache, and `--sample` with optional
 //! `--sample-interval=N` / `--sample-warmup=N` / `--sample-detail=N` for
 //! SMARTS-style sampled simulation) plus `--csv` for machine-readable
 //! output. The same spec drives the `fgstpd` batch daemon and the
@@ -216,11 +216,20 @@ mod tests {
 
     #[test]
     fn session_reflects_the_arguments() {
-        let args = args_of(&["test", "--threads=2", "--no-cache"]);
-        let s = args.session();
-        // A no-cache session never touches disk, so stats stay at zero.
+        let args = args_of(&[
+            "test",
+            "--threads=2",
+            "--no-cache",
+            "--sample-interval=2000",
+            "--sample-warmup=300",
+            "--sample-detail=150",
+        ]);
+        let s = args.session().machines([MachineKind::SingleSmall]);
+        // A no-cache session never consults or stores live-points.
         let w = &fgstp_workloads::suite(Scale::Test)[0];
-        let _ = s.trace(w);
-        assert_eq!(s.cache_stats().hits + s.cache_stats().misses, 0);
+        s.run_workload(w);
+        let ss = s.snapshot_stats();
+        assert_eq!(ss.hits + ss.misses, 0);
+        assert!(ss.warmed_insts > 0);
     }
 }

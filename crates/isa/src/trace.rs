@@ -110,11 +110,17 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Wraps an already-materialized instruction stream (e.g. one decoded
-    /// from a trace file) as a trace. The caller vouches that `insts` is a
-    /// committed path in commit order with dense `seq` numbers.
+    /// Wraps an already-materialized instruction stream (e.g. one
+    /// translated from another frontend) as a trace. The caller vouches
+    /// that `insts` is a committed path in commit order with dense `seq`
+    /// numbers.
     pub fn from_insts(insts: Vec<DynInst>) -> Trace {
         Trace { insts }
+    }
+
+    /// Unwraps the instruction stream, allocation included.
+    pub fn into_insts(self) -> Vec<DynInst> {
+        self.insts
     }
 
     /// The dynamic instructions, in commit order.
@@ -159,7 +165,10 @@ impl std::ops::Index<usize> for Trace {
 /// Functionally executes `program` and returns its committed-path trace.
 ///
 /// The trailing `halt` is executed (so the machine state is final) but not
-/// recorded: timing models only see real work.
+/// recorded: timing models only see real work. The program runs twice —
+/// first untraced, to count, then recording into a buffer allocated at
+/// that count — so the trace never holds the up-to-2× slack of a `Vec`
+/// grown by doubling.
 ///
 /// # Errors
 ///
@@ -177,9 +186,14 @@ impl std::ops::Index<usize> for Trace {
 /// ```
 pub fn trace_program(program: &Program, limit: u64) -> Result<Trace, TraceError> {
     let pre = PreProgram::new(program);
-    let mut machine = ThreadedMachine::new(&pre);
-    let mut insts = Vec::new();
-    machine.run_trace(limit, &mut insts)?;
+    // Counts the halt too: one slot of slack.
+    let executed = match ThreadedMachine::new(&pre).run(limit) {
+        Ok(n) => n,
+        Err(ExecError::StepLimit { .. }) => return Err(TraceError::Truncated { limit }),
+        Err(e) => return Err(TraceError::Exec(e)),
+    };
+    let mut insts = Vec::with_capacity(executed as usize);
+    ThreadedMachine::new(&pre).run_trace(limit, &mut insts)?;
     Ok(Trace { insts })
 }
 

@@ -39,8 +39,8 @@ use crate::inst::{RvInst, RvOp};
 use crate::program::RvProgram;
 
 /// Version of the RV→SimRISC translation scheme. Bump on any change to
-/// the mapping above — the trace cache and the service dedup identity
-/// incorporate it, so stale translated traces can never be replayed.
+/// the mapping above — live-point cache keys incorporate it, so warm
+/// states taken over stale translated traces can never be replayed.
 pub const TRANSLATION_VERSION: u32 = 1;
 
 fn reg(n: u8) -> Reg {
@@ -153,9 +153,10 @@ impl std::error::Error for RvTraceError {
 }
 
 /// Emulates `program` and returns its committed path translated into a
-/// SimRISC [`Trace`], ready for any downstream timing model, trace file
-/// or cache. The halting `ecall`/`ebreak` is executed but not recorded,
-/// exactly like SimRISC `halt`.
+/// SimRISC [`Trace`], ready for any downstream timing model. The halting
+/// `ecall`/`ebreak` is executed but not recorded, exactly like SimRISC
+/// `halt`. Like [`fgstp_isa::trace_program`], it runs the program
+/// untraced first to allocate the trace at its final size.
 ///
 /// # Errors
 ///
@@ -171,8 +172,14 @@ impl std::error::Error for RvTraceError {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn trace_rv(program: &RvProgram, limit: u64) -> Result<Trace, RvTraceError> {
+    // Counts the halt too: one slot of slack.
+    let executed = match RvMachine::new(program).and_then(|mut m| m.run(limit)) {
+        Ok(n) => n,
+        Err(RvError::StepLimit { .. }) => return Err(RvTraceError::Truncated { limit }),
+        Err(e) => return Err(RvTraceError::Exec(e)),
+    };
     let mut m = RvMachine::new(program).map_err(RvTraceError::Exec)?;
-    let mut insts = Vec::new();
+    let mut insts = Vec::with_capacity(executed as usize);
     for _ in 0..limit {
         let c = m.step().map_err(RvTraceError::Exec)?;
         if c.halted {

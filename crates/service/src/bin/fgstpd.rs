@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Defaults: listen on `127.0.0.1:4655`, auto-sized workers, queue
-//! capacity 64, the session default trace-cache directory. With
+//! capacity 64, the session default live-point cache directory. With
 //! `--listen=127.0.0.1:0` the kernel picks a free port; `--port-file`
 //! writes the bound port to a file once listening, so scripts can wait
 //! for readiness and discover the port in one step.

@@ -45,7 +45,7 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Pending-queue capacity before submissions are refused.
     pub queue_capacity: usize,
-    /// Trace-cache directory override for job sessions.
+    /// Live-point cache directory override for job sessions.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -183,8 +183,6 @@ fn run_job(
             }
             queue.push_row(id, bench_result_row(b));
         }
-        let stats = session.cache_stats();
-        queue.add_trace_stats(stats.hits, stats.misses);
         let ss = session.snapshot_stats();
         queue.add_snapshot_stats(ss.hits, ss.misses, ss.warmed_insts);
         return match failure {
@@ -207,8 +205,6 @@ fn run_job(
             break;
         }
     }
-    let stats = session.cache_stats();
-    queue.add_trace_stats(stats.hits, stats.misses);
     let ss = session.snapshot_stats();
     queue.add_snapshot_stats(ss.hits, ss.misses, ss.warmed_insts);
     match failure {

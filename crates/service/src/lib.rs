@@ -6,9 +6,8 @@
 //! `fgstp`, its command-line client.
 //!
 //! The daemon exists for one workflow: sweeping many experiment
-//! configurations without paying process startup and trace-generation
-//! per run. Jobs land in a FIFO [`queue::JobQueue`] with
-//! submission-time validation, dedup on
+//! configurations without paying process startup per run. Jobs land in
+//! a FIFO [`queue::JobQueue`] with submission-time validation, dedup on
 //! [`ExperimentSpec::dedup_key`] (a resubmitted configuration is served
 //! from the first job's rows), bounded backpressure, and a pool of
 //! panic-isolated workers executing each job workload-by-workload so

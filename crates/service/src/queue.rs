@@ -266,13 +266,6 @@ impl JobQueue {
         self.cond.notify_all();
     }
 
-    /// Adds trace-cache hit/miss counts observed while running a job.
-    pub fn add_trace_stats(&self, hits: u64, misses: u64) {
-        let mut g = self.inner.lock().unwrap();
-        g.registry.inc("service.trace-hits", hits);
-        g.registry.inc("service.trace-misses", misses);
-    }
-
     /// Adds live-point snapshot counts observed while running a sampled
     /// job, under the shared [`fgstp_telemetry::names`] keys — a daemon
     /// serving snapshot-warm reruns shows hits climbing while

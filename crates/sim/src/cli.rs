@@ -74,7 +74,7 @@ pub fn list() -> String {
 /// position is accepted too (`run hmmer_dp test`), since users naturally
 /// drop the machine.
 pub fn run(workload: &str, machine: Option<&str>, scale: Option<&str>) -> Result<String, CliError> {
-    run_instrumented(workload, machine, scale, None, false, None, None, true)
+    run_instrumented(workload, machine, scale, None, false, None, None, false)
 }
 
 /// `run` with the overrides and observability flags: `cores` overrides the
@@ -83,9 +83,9 @@ pub fn run(workload: &str, machine: Option<&str>, scale: Option<&str>) -> Result
 /// `trace_event` JSON to the given path, and `sample` switches to
 /// SMARTS-style sampled simulation (projected totals plus the interval
 /// summary; incompatible with `--cores` and `--chrome-trace`). Sampled
-/// runs use live-point snapshots when `snapshot` is set (the default):
-/// a re-run of the same configuration skips functional warming by
-/// replaying the stored warm states, bit-identically.
+/// runs use the live-point cache unless `no_cache` is set: a re-run of
+/// the same configuration skips functional warming by replaying the
+/// stored warm states, bit-identically.
 ///
 /// The run is checked by [`ExperimentSpec::validate`], the rule list
 /// every frontend shares; only the `--chrome-trace` × `--sample` rule is
@@ -99,7 +99,7 @@ pub fn run_instrumented(
     cpi_stack: bool,
     chrome_trace: Option<&str>,
     sample: Option<SampleConfig>,
-    snapshot: bool,
+    no_cache: bool,
 ) -> Result<String, CliError> {
     let (machine, scale) = match (machine, scale) {
         (Some(m), None) if parse_machine(m).is_err() && parse_scale(m).is_ok() => (None, Some(m)),
@@ -112,7 +112,7 @@ pub fn run_instrumented(
         machines: vec![kind],
         workloads: vec![workload.to_owned()],
         cores,
-        snapshot,
+        no_cache,
         telemetry: cpi_stack,
         sample,
         ..ExperimentSpec::default()
@@ -125,31 +125,36 @@ pub fn run_instrumented(
     }
     let w = find_workload(workload, scale)?;
     let session = spec.session();
-    let trace = session.trace(&w);
     let instrumented = cpi_stack || chrome_trace.is_some();
-    let (r, episodes, snap_stats) = if sample.is_some() {
+    let (r, committed, episodes, snap_stats) = if sample.is_some() {
         // The session path gives sampled runs the full live-point
         // machinery: snapshot load/store and parallel window dispatch.
         let mut bench = session.run_workload(&w);
+        if let Some(e) = bench.error {
+            return Err(CliError(e));
+        }
         let r = bench.runs.pop().expect("one machine yields one run");
-        (r, Vec::new(), Some(session.snapshot_stats()))
-    } else if instrumented {
-        let (r, ep) =
-            run_on_instrumented_with_cores(kind, trace.insts(), chrome_trace.is_some(), cores);
-        (r, ep, None)
-    } else {
         (
-            run_on_with_cores(kind, trace.insts(), cores, &mut NullSink),
+            r,
+            bench.committed,
             Vec::new(),
-            None,
+            Some(session.snapshot_stats()),
         )
+    } else {
+        let trace = session.trace(&w);
+        let (r, ep) = if instrumented {
+            run_on_instrumented_with_cores(kind, trace.insts(), chrome_trace.is_some(), cores)
+        } else {
+            let r = run_on_with_cores(kind, trace.insts(), cores, &mut NullSink);
+            (r, Vec::new())
+        };
+        (r, trace.len() as u64, ep, None)
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "workload:  {} ({} dynamic instructions)",
+        "workload:  {} ({committed} dynamic instructions)",
         w.name,
-        trace.len()
     );
     let _ = writeln!(out, "machine:   {kind}");
     let _ = writeln!(out, "cycles:    {}", r.result.cycles);
@@ -374,15 +379,14 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
             let mut chrome_trace: Option<&str> = None;
             let mut cores: Option<usize> = None;
             let mut sample = false;
-            let mut snapshot = true;
+            let mut no_cache = false;
             let mut scfg = SampleConfig::default();
             let mut positional: Vec<&str> = Vec::new();
             let mut it = rest.iter();
             while let Some(&a) = it.next() {
                 match a {
                     "--cpi-stack" => cpi_stack = true,
-                    "--snapshot" => snapshot = true,
-                    "--no-snapshot" => snapshot = false,
+                    "--no-cache" => no_cache = true,
                     "--chrome-trace" => {
                         chrome_trace = Some(it.next().copied().ok_or_else(|| {
                             CliError("--chrome-trace needs an output path".to_owned())
@@ -422,14 +426,14 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
                 cpi_stack,
                 chrome_trace,
                 sample.then_some(scfg),
-                snapshot,
+                no_cache,
             )
         }
         ["compare", w, rest @ ..] => compare(w, rest.first().copied()),
         ["pipeview", w, rest @ ..] => pipeview(w, rest.first().copied()),
         ["pipeview2", w, rest @ ..] => pipeview2(w, rest.first().copied()),
         _ => Err(CliError(
-            "usage: fgstpsim <list | run <workload> [machine] [scale] [--cores N] [--cpi-stack] [--chrome-trace <path>] [--sample] [--sample-interval N] [--sample-warmup N] [--sample-detail N] [--snapshot|--no-snapshot] | compare <workload> [scale] | pipeview <workload> [first..last] | pipeview2 <workload> [first..last]>"
+            "usage: fgstpsim <list | run <workload> [machine] [scale] [--cores N] [--cpi-stack] [--chrome-trace <path>] [--sample] [--sample-interval N] [--sample-warmup N] [--sample-detail N] [--no-cache] | compare <workload> [scale] | pipeview <workload> [first..last] | pipeview2 <workload> [first..last]>"
                 .to_owned(),
         )),
     }
@@ -569,11 +573,11 @@ mod tests {
             false,
             None,
             None,
-            true
+            false
         )
         .is_err());
         assert!(
-            run_instrumented("hmmer_dp", None, None, Some(0), false, None, None, true).is_err()
+            run_instrumented("hmmer_dp", None, None, Some(0), false, None, None, false).is_err()
         );
         let e = dispatch(&["run".into(), "hmmer_dp".into(), "--cores".into()]);
         assert!(e.is_err());
@@ -769,7 +773,7 @@ mod tests {
                 false,
                 None,
                 None,
-                true,
+                false,
             );
             if kind.is_fgstp() {
                 assert!(r.is_ok(), "{}: {r:?}", kind.label());
@@ -778,8 +782,8 @@ mod tests {
                 assert!(e.0.contains("--cores"), "{}", e.0);
             }
         }
-        let e =
-            run_instrumented("hmmer_dp", None, None, Some(0), false, None, None, true).unwrap_err();
+        let e = run_instrumented("hmmer_dp", None, None, Some(0), false, None, None, false)
+            .unwrap_err();
         assert!(e.0.contains("at least one core"), "{}", e.0);
     }
 

@@ -1,10 +1,10 @@
 //! # fgstp-sim
 //!
 //! Simulation driver for the Fg-STP reproduction. The primary entry point
-//! is the [`Session`] builder: it owns workload tracing, an on-disk trace
-//! cache, and a fixed-size worker pool that runs the (workload, machine)
-//! job matrix in parallel while keeping results in deterministic request
-//! order.
+//! is the [`Session`] builder: it owns workload tracing, an on-disk
+//! live-point cache, and a fixed-size worker pool that runs the
+//! (workload, machine) job matrix in parallel while keeping results in
+//! deterministic request order.
 //!
 //! ```no_run
 //! use fgstp_sim::{MachineKind, Scale, Session};
@@ -16,8 +16,6 @@
 //! for bench in session.run_suite() {
 //!     println!("{}: {} runs", bench.name, bench.runs.len());
 //! }
-//! let stats = session.cache_stats();
-//! println!("trace cache: {} hits / {} misses", stats.hits, stats.misses);
 //! ```
 //!
 //! Finer-grained plans restrict the matrix before executing:

@@ -1,7 +1,7 @@
 //! Low-level run primitives: one trace through one machine model.
 //!
 //! The primary driver API is [`crate::Session`] — it owns tracing, the
-//! on-disk trace cache and the worker pool. This module keeps the
+//! on-disk live-point cache and the worker pool. This module keeps the
 //! per-trace primitives the session is built from ([`run_on`],
 //! [`trace_workload`]) plus the result types, and retains the historical
 //! free functions ([`run_suite`]) as thin compatibility shims over a
@@ -467,8 +467,7 @@ pub fn run_on_instrumented_with_cores(
 /// Traces one workload (panicking on a kernel fault, which would be a
 /// suite bug) and returns its committed path.
 ///
-/// This always re-traces; [`Session::trace`] consults the on-disk cache
-/// first. Use [`try_trace_workload`] to handle failures gracefully.
+/// Use [`try_trace_workload`] to handle failures gracefully.
 pub fn trace_workload(w: &Workload, scale: Scale) -> fgstp_isa::Trace {
     try_trace_workload(w, scale).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -484,7 +483,7 @@ pub fn try_trace_workload(w: &Workload, scale: Scale) -> Result<fgstp_isa::Trace
 /// Runs the whole suite at `scale` on each machine in `kinds`.
 ///
 /// Compatibility shim: delegates to a default [`Session`] (all cores,
-/// trace cache on). Prefer building a `Session` directly for explicit
+/// live-point cache on). Prefer building a `Session` directly for explicit
 /// control of threads and caching.
 pub fn run_suite(scale: Scale, kinds: &[MachineKind]) -> Vec<BenchResult> {
     Session::new()

@@ -1,7 +1,7 @@
 //! The session driver: the primary API for running the evaluation.
 //!
 //! A [`Session`] owns everything the free-function driver used to do
-//! implicitly — workload tracing, the on-disk trace cache, and a
+//! implicitly — workload tracing, the on-disk live-point cache, and a
 //! fixed-size worker pool — behind explicit builder knobs:
 //!
 //! ```no_run
@@ -27,16 +27,17 @@
 //! `threads(1)` run — the simulators themselves are single-threaded and
 //! deterministic, the pool only schedules them.
 //!
-//! # Trace cache
+//! # Live-point cache
 //!
-//! Tracing is functional simulation and costs more than decoding, so the
-//! session persists every trace it produces through
-//! [`fgstp_tracefile::TraceCache`]. The default location is
-//! `target/trace-cache/` (honouring `CARGO_TARGET_DIR`); the key is
-//! *workload name + scale + trace-format version*; corrupt or stale files
-//! are detected by checksum/version and silently fall back to re-tracing.
-//! Opt out with [`Session::no_cache`] or redirect with
-//! [`Session::cache_dir`].
+//! Traces are never stored: the threaded interpreter regenerates a trace
+//! faster than a file of one could be read back, so every run traces its
+//! workloads afresh. What the session does persist is the functional
+//! warming of sampled runs: live-points go to an on-disk
+//! [`fgstp_tracefile::TraceCache`] at `target/trace-cache/` (honouring
+//! `CARGO_TARGET_DIR`), keyed by workload, scale, machine, sampling regime
+//! and warm-machine shape; corrupt or stale files are detected by
+//! checksum/version and silently fall back to re-warming. Opt out with
+//! [`Session::no_cache`] or redirect with [`Session::cache_dir`].
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -59,12 +60,14 @@ use crate::runner::{
 use crate::spec::{scale_word, CoRunSpec};
 use fgstp_workloads::by_name;
 
-/// Trace-cache hit/miss counters of one [`Session`].
+/// Trace counters of one [`Session`], kept only for the end-to-end
+/// benchmark until it reads host-time spans instead: every trace is
+/// generated, so every trace counts as a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Traces served from the on-disk cache.
+    /// Always 0: traces are never stored.
     pub hits: u64,
-    /// Traces regenerated by functional simulation (and then stored).
+    /// Traces generated by functional simulation.
     pub misses: u64,
 }
 
@@ -77,7 +80,7 @@ pub struct SnapshotStats {
     /// skipped entirely.
     pub hits: u64,
     /// Sampled runs that warmed cold (no usable snapshot; one is stored
-    /// for next time when snapshots are enabled).
+    /// for next time).
     pub misses: u64,
     /// Instructions retired through the functional-warming fast path
     /// across all sampled runs. Zero across a fully snapshot-warm rerun.
@@ -86,8 +89,7 @@ pub struct SnapshotStats {
 
 #[derive(Debug, Default)]
 struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
+    traces: AtomicU64,
     snapshot_hits: AtomicU64,
     snapshot_misses: AtomicU64,
     warmed_insts: AtomicU64,
@@ -113,7 +115,6 @@ pub struct Session {
     telemetry: bool,
     sample: Option<SampleConfig>,
     corun: Option<CoRunSpec>,
-    snapshot: bool,
 }
 
 impl Default for Session {
@@ -125,7 +126,7 @@ impl Default for Session {
 impl Session {
     /// A session with the default knobs: all available cores, the
     /// experiment-harness default [`Scale::Small`], the small-CMP machine
-    /// set, and the trace cache at `target/trace-cache/`.
+    /// set, and the live-point cache at `target/trace-cache/`.
     pub fn new() -> Session {
         Session {
             threads: std::thread::available_parallelism()
@@ -140,7 +141,6 @@ impl Session {
             telemetry: false,
             sample: None,
             corun: None,
-            snapshot: true,
         }
     }
 
@@ -207,29 +207,18 @@ impl Session {
         all
     }
 
-    /// Redirects the trace cache to `dir`.
+    /// Redirects the live-point cache to `dir`.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Session {
         self.cache = Some(TraceCache::new(dir));
         self
     }
 
-    /// Disables the trace cache: every trace is regenerated (and, since
-    /// snapshots live in the same cache directory, live-points are
-    /// neither loaded nor stored).
+    /// Disables the live-point cache: sampled runs neither load nor
+    /// store live-points, so every one warms from its trace. Estimates
+    /// are bit-identical either way — the cache only changes where the
+    /// warm state comes from.
     pub fn no_cache(mut self) -> Session {
         self.cache = None;
-        self
-    }
-
-    /// Enables or disables live-point snapshots for sampled runs
-    /// (default **on** whenever a cache directory is configured). With
-    /// snapshots on, a sampled run persists its per-window warm states
-    /// next to the trace cache and a re-run of the same (workload,
-    /// machine shape, regime) skips functional warming entirely by
-    /// replaying them. Estimates are bit-identical either way — the
-    /// toggle only changes where the warm state comes from.
-    pub fn snapshots(mut self, on: bool) -> Session {
-        self.snapshot = on;
         self
     }
 
@@ -275,11 +264,12 @@ impl Session {
         self
     }
 
-    /// Trace-cache hits and misses since this session was created.
+    /// Traces generated since this session was created, all counted as
+    /// misses (see [`CacheStats`]).
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
+            hits: 0,
+            misses: self.counters.traces.load(Ordering::Relaxed),
         }
     }
 
@@ -293,13 +283,13 @@ impl Session {
         }
     }
 
-    /// The snapshot-cache key of one sampled run: the workload's trace
-    /// key, the machine label, the sampling regime, and an FNV-1a
-    /// fingerprint of the functional-warming shape (core + hierarchy
-    /// configuration). Any change to the preset's warm shape re-keys its
-    /// snapshots, so a stale live-point can never replay on the wrong
-    /// machine; [`fgstp_tracefile::SNAPSHOT_VERSION`] is appended by the
-    /// cache itself.
+    /// The snapshot-cache key of one sampled run: the workload key, the
+    /// machine label, the sampling regime, and an FNV-1a fingerprint of
+    /// the functional-warming shape (core + hierarchy configuration). Any
+    /// change to the preset's warm shape re-keys its snapshots, so a
+    /// stale live-point can never replay on the wrong machine;
+    /// [`fgstp_tracefile::SNAPSHOT_VERSION`] is appended by the cache
+    /// itself.
     fn snapshot_key(
         &self,
         w: &Workload,
@@ -335,9 +325,9 @@ impl Session {
         scfg: &SampleConfig,
     ) -> SamplePlan {
         let total = insts.len() as u64;
-        let cache = self.cache.as_ref().filter(|_| self.snapshot);
-        let key = cache.map(|_| self.snapshot_key(w, kind, ccfg, hcfg, scfg));
-        if let (Some(cache), Some(key)) = (cache, &key) {
+        let cached = (self.cache.as_ref())
+            .map(|cache| (cache, self.snapshot_key(w, kind, ccfg, hcfg, scfg)));
+        if let Some((cache, key)) = &cached {
             if let Some(file) = cache.load_snapshot(key) {
                 let snap = SnapshotData {
                     total_insts: file.total_insts,
@@ -359,7 +349,7 @@ impl Session {
         self.counters
             .warmed_insts
             .fetch_add(plan.warmed_insts, Ordering::Relaxed);
-        if let (Some(cache), Some(key)) = (cache, &key) {
+        if let Some((cache, key)) = &cached {
             let s = plan.to_snapshot();
             // A failed store only costs the next run a re-warm.
             let _ = cache.store_snapshot(
@@ -374,9 +364,7 @@ impl Session {
         plan
     }
 
-    /// Traces one workload at the session scale, consulting the cache
-    /// first and storing on a miss. Corrupt or stale cache files read as
-    /// misses and are re-traced.
+    /// Traces one workload at the session scale.
     ///
     /// # Panics
     ///
@@ -388,29 +376,16 @@ impl Session {
 
     /// Like [`Session::trace`], but reports tracing failures (budget
     /// exhaustion, a kernel fault) as an error instead of panicking.
-    /// Failures are never cached.
     pub fn try_trace(&self, w: &Workload) -> Result<Trace, String> {
-        let Some(cache) = &self.cache else {
-            return try_trace_workload(w, self.scale);
-        };
-        let key = self.trace_key(w);
-        if let Some(insts) = cache.load(&key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Trace::from_insts(insts));
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let trace = try_trace_workload(w, self.scale)?;
-        // A failed store (read-only filesystem, disk full) only costs the
-        // next run a re-trace; the current result is unaffected.
-        let _ = cache.store(&key, trace.insts());
-        Ok(trace)
+        self.counters.traces.fetch_add(1, Ordering::Relaxed);
+        try_trace_workload(w, self.scale)
     }
 
-    /// The cache key of one workload at the session scale. The key leads
-    /// with the frontend — `syn` for SimRISC kernels, `rv` plus the
-    /// translation version for RV32 programs — so traces from different
-    /// frontends (or different translation schemes) can never collide in
-    /// the cache directory.
+    /// The workload part of a live-point key: the workload at the session
+    /// scale. The key leads with the frontend — `syn` for SimRISC kernels,
+    /// `rv` plus the translation version for RV32 programs — so
+    /// live-points warmed from different frontends (or different
+    /// translation schemes) can never collide in the cache directory.
     fn trace_key(&self, w: &Workload) -> String {
         match w.frontend() {
             "rv" => format!(
@@ -450,9 +425,9 @@ impl Session {
         self.plan().execute()
     }
 
-    /// Executes a co-run: traces every program's workload (cache-aware,
-    /// in parallel), then runs the whole scenario as one deterministic
-    /// job on the single Fg-STP machine of the session.
+    /// Executes a co-run: traces every program's workload (in parallel),
+    /// then runs the whole scenario as one deterministic job on the
+    /// single Fg-STP machine of the session.
     fn run_corun(&self, c: &CoRunSpec) -> Vec<BenchResult> {
         assert_eq!(
             self.machines.len(),
@@ -554,9 +529,9 @@ impl RunPlan<'_> {
     }
 
     /// Executes the matrix on the session's worker pool: each workload is
-    /// traced once (cache-aware), every (workload, machine) pair runs as
-    /// an independent job, and results come back grouped per workload in
-    /// request order — bit-identical for any pool size.
+    /// traced once, every (workload, machine) pair runs as an independent
+    /// job, and results come back grouped per workload in request order —
+    /// bit-identical for any pool size.
     ///
     /// A workload whose trace fails yields a [`BenchResult`] with no runs
     /// and [`BenchResult::error`] set, rather than aborting the whole
@@ -672,7 +647,6 @@ fn parallel_map<I: Sync, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgstp_workloads::by_name;
 
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("fgstp-session-unit-{tag}-{}", std::process::id()))
@@ -875,30 +849,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_hits_after_first_trace() {
-        let dir = temp_dir("hits");
-        let _ = std::fs::remove_dir_all(&dir);
-        let session = Session::new().scale(Scale::Test).cache_dir(&dir);
-        let w = by_name("perl_hash", Scale::Test).unwrap();
-        let cold = session.trace(&w);
-        assert_eq!(session.cache_stats(), CacheStats { hits: 0, misses: 1 });
-        let warm = session.trace(&w);
-        assert_eq!(session.cache_stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cold, warm, "cached trace is bit-identical");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn scales_do_not_share_cache_entries() {
         let dir = temp_dir("scales");
         let _ = std::fs::remove_dir_all(&dir);
-        let w = by_name("perl_hash", Scale::Test).unwrap();
-        let test = Session::new().scale(Scale::Test).cache_dir(&dir);
-        let small = Session::new().scale(Scale::Small).cache_dir(&dir);
-        test.trace(&w);
-        let w_small = by_name("perl_hash", Scale::Small).unwrap();
-        small.trace(&w_small);
-        assert_eq!(small.cache_stats().hits, 0, "different scale, fresh trace");
+        let scfg = SampleConfig {
+            interval: 2_000,
+            warmup: 300,
+            detail: 150,
+        };
+        let run = |scale: Scale| {
+            let s = Session::new()
+                .scale(scale)
+                .cache_dir(&dir)
+                .sample(scfg)
+                .machines([MachineKind::SingleSmall]);
+            s.plan().workload_names(&["perl_hash"]).execute();
+            s.snapshot_stats()
+        };
+        assert_eq!(run(Scale::Test).misses, 1);
+        let small = run(Scale::Small);
+        assert_eq!(
+            (small.hits, small.misses),
+            (0, 1),
+            "different scale, fresh live-points"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -954,13 +928,13 @@ mod tests {
             warmup: 300,
             detail: 150,
         };
-        let run = |snapshots: bool| {
-            let s = Session::new()
-                .scale(Scale::Test)
-                .threads(2)
-                .cache_dir(&dir)
-                .snapshots(snapshots)
-                .sample(scfg);
+        let run = |cached: bool| {
+            let s = Session::new().scale(Scale::Test).threads(2).sample(scfg);
+            let s = if cached {
+                s.cache_dir(&dir)
+            } else {
+                s.no_cache()
+            };
             let r = s
                 .plan()
                 .workload_names(&["perl_hash"])
@@ -989,7 +963,7 @@ mod tests {
                 assert!(y.sampled.as_ref().unwrap().snapshot_hit);
             }
         }
-        // Snapshots off: live-points are neither consulted nor stored,
+        // Cache off: live-points are neither consulted nor stored,
         // warming runs again, figures stay bit-identical.
         let (off, os) = run(false);
         assert_eq!((os.hits, os.misses), (0, 0));
@@ -1072,10 +1046,27 @@ mod tests {
 
     #[test]
     fn no_cache_never_touches_disk() {
-        let session = Session::new().scale(Scale::Test).no_cache();
-        let w = by_name("perl_hash", Scale::Test).unwrap();
-        session.trace(&w);
-        session.trace(&w);
-        assert_eq!(session.cache_stats(), CacheStats::default());
+        let dir = temp_dir("no-cache");
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = Session::new()
+            .scale(Scale::Test)
+            .cache_dir(&dir)
+            .no_cache()
+            .sample(SampleConfig {
+                interval: 2_000,
+                warmup: 300,
+                detail: 150,
+            })
+            .machines([MachineKind::SingleSmall]);
+        session.plan().workload_names(&["perl_hash"]).execute();
+        let ss = session.snapshot_stats();
+        assert_eq!((ss.hits, ss.misses), (0, 0), "live-points never consulted");
+        assert!(ss.warmed_insts > 0);
+        assert!(!dir.exists(), "nothing stored");
+        assert_eq!(
+            session.cache_stats(),
+            CacheStats { hits: 0, misses: 1 },
+            "every trace is generated"
+        );
     }
 }

@@ -225,14 +225,10 @@ pub struct ExperimentSpec {
     /// Worker-pool size override (execution knob; not part of the
     /// result identity).
     pub threads: Option<usize>,
-    /// Disable the on-disk trace cache (execution knob).
+    /// Disable the on-disk live-point cache (execution knob): sampled
+    /// runs then neither replay nor store warm states. Results are
+    /// bit-identical either way.
     pub no_cache: bool,
-    /// Use live-point snapshots for sampled runs (execution knob, on by
-    /// default): a sampled re-run then replays stored warm states
-    /// instead of re-warming. Results are bit-identical either way, so
-    /// the flag — like `threads` and `no_cache` — is not part of the
-    /// result identity.
-    pub snapshot: bool,
     /// Collect CPI stacks alongside timing.
     pub telemetry: bool,
     /// SMARTS-style sampling regime, off by default.
@@ -255,7 +251,6 @@ impl Default for ExperimentSpec {
             cores: None,
             threads: None,
             no_cache: false,
-            snapshot: true,
             telemetry: false,
             sample: None,
             corun: None,
@@ -268,7 +263,7 @@ impl Default for ExperimentSpec {
 pub const SPEC_USAGE: &str = "[test|small|reference] [--workloads=a,b,..] \
 [--machines=small-cmp|medium-cmp|all|scaling|<label,..>] [--cores=N] \
 [--threads=N] [--no-cache] [--telemetry] [--sample] [--sample-interval=N] \
-[--sample-warmup=N] [--sample-detail=N] [--snapshot] [--no-snapshot] \
+[--sample-warmup=N] [--sample-detail=N] \
 [--corun=wl[:cores],..] [--corun-isolated]";
 
 impl ExperimentSpec {
@@ -284,14 +279,6 @@ impl ExperimentSpec {
             }
             "--no-cache" => {
                 self.no_cache = true;
-                return Ok(true);
-            }
-            "--snapshot" => {
-                self.snapshot = true;
-                return Ok(true);
-            }
-            "--no-snapshot" => {
-                self.snapshot = false;
                 return Ok(true);
             }
             "--telemetry" => {
@@ -542,7 +529,6 @@ impl ExperimentSpec {
         if self.no_cache {
             s = s.no_cache();
         }
-        s = s.snapshots(self.snapshot);
         if let Some(scfg) = self.sample {
             s = s.sample(scfg);
         }
@@ -619,7 +605,6 @@ impl ExperimentSpec {
             ("cores".to_owned(), opt_num(self.cores)),
             ("threads".to_owned(), opt_num(self.threads)),
             ("no_cache".to_owned(), Json::Bool(self.no_cache)),
-            ("snapshot".to_owned(), Json::Bool(self.snapshot)),
             ("telemetry".to_owned(), Json::Bool(self.telemetry)),
             ("sample".to_owned(), sample),
             ("corun".to_owned(), corun),
@@ -691,12 +676,6 @@ impl ExperimentSpec {
                     spec.no_cache = match value {
                         Json::Bool(b) => *b,
                         _ => return Err(bad("spec field `no_cache` must be a bool".to_owned())),
-                    };
-                }
-                "snapshot" => {
-                    spec.snapshot = match value {
-                        Json::Bool(b) => *b,
-                        _ => return Err(bad("spec field `snapshot` must be a bool".to_owned())),
                     };
                 }
                 "telemetry" => {
@@ -784,42 +763,24 @@ impl ExperimentSpec {
     /// serve one from the other's cached results.
     ///
     /// The key normalizes away pure execution knobs (`threads`,
-    /// `no_cache`, `snapshot` — the worker pool, trace cache and
-    /// live-point snapshots never change a figure), resolves an empty
-    /// workload list to the concrete suite, and is versioned by the
-    /// trace-file format ([`fgstp_tracefile::VERSION`]), the live-point
-    /// snapshot format ([`fgstp_tracefile::SNAPSHOT_VERSION`]) and the
-    /// RV32 translation scheme ([`fgstp_rv::TRANSLATION_VERSION`]):
-    /// bumping any of them re-keys every job, exactly like it re-keys
-    /// the on-disk caches — so jobs resolved under different frontend or
-    /// warm-state semantics can never dedup against each other.
+    /// `no_cache` — the worker pool and the live-point cache never change
+    /// a figure) and resolves an empty workload list to the concrete
+    /// suite. It carries no format versions: keys are compared only
+    /// within one running process.
     pub fn dedup_key(&self) -> String {
         let mut normalized = self.clone();
-        normalized.threads = None;
-        normalized.no_cache = false;
-        normalized.snapshot = true;
         if self.corun.is_none() {
             normalized.workloads = self.workload_names();
         }
         let mut body = normalized.to_json();
         if let Json::Obj(members) = &mut body {
-            members.retain(|(k, _)| k != "threads" && k != "no_cache" && k != "snapshot");
+            members.retain(|(k, _)| k != "threads" && k != "no_cache");
         }
-        let mut key = format!(
-            "fgtr-v{}-ss{}-rv{}:",
-            fgstp_tracefile::VERSION,
-            fgstp_tracefile::SNAPSHOT_VERSION,
-            fgstp_rv::TRANSLATION_VERSION
-        );
         // Render on one line: the key is a map key, not a document.
-        key.push_str(
-            &body
-                .render()
-                .split_whitespace()
-                .collect::<Vec<_>>()
-                .join(""),
-        );
-        key
+        body.render()
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join("")
     }
 }
 
@@ -844,7 +805,6 @@ mod tests {
             cores: Some(3),
             threads: Some(2),
             no_cache: true,
-            snapshot: true,
             telemetry: true,
             sample: None,
             corun: None,
@@ -876,7 +836,6 @@ mod tests {
             "--threads=2",
             "--no-cache",
             "--telemetry",
-            "--no-snapshot",
         ])
         .unwrap();
         assert_eq!(spec.scale, Scale::Test);
@@ -888,12 +847,7 @@ mod tests {
         assert_eq!(spec.cores, Some(3));
         assert_eq!(spec.threads, Some(2));
         assert!(spec.no_cache && spec.telemetry);
-        assert!(!spec.snapshot, "--no-snapshot turns live-points off");
         assert_eq!(ExperimentSpec::from_json(&spec.to_json()).unwrap(), spec);
-        // --snapshot restores the default explicitly.
-        let mut back = spec.clone();
-        back.apply_arg("--snapshot").unwrap();
-        assert!(back.snapshot);
     }
 
     #[test]
@@ -1016,11 +970,10 @@ mod tests {
         let mut b = a.clone();
         b.threads = Some(7);
         b.no_cache = true;
-        b.snapshot = false;
         assert_eq!(
             a.dedup_key(),
             b.dedup_key(),
-            "execution knobs (threads, caching, snapshots) normalize away"
+            "execution knobs (threads, caching) normalize away"
         );
 
         // An explicit full-suite workload list equals the implicit one.
@@ -1043,17 +996,6 @@ mod tests {
         let mut f = a.clone();
         f.workloads = vec!["perl_hash".to_owned()];
         assert_ne!(a.dedup_key(), f.dedup_key());
-
-        assert!(
-            a.dedup_key().starts_with(&format!(
-                "fgtr-v{}-ss{}-rv{}:",
-                fgstp_tracefile::VERSION,
-                fgstp_tracefile::SNAPSHOT_VERSION,
-                fgstp_rv::TRANSLATION_VERSION
-            )),
-            "key is versioned by the trace format, the snapshot format \
-             and the RV translation"
-        );
     }
 
     #[test]

@@ -31,22 +31,17 @@
 //! other scalar is a varint ([`crate::write_varint`]). Version 1 wrote
 //! every line and table entry at a fixed width and has no decoder.
 //!
-//! Cache files live next to trace files as `<key>-s<SNAPSHOT_VERSION>.fgss`
-//! with the same fail-safe invalidation rules as traces: a version bump
-//! orphans old files by renaming them out of existence, and a corrupt or
-//! truncated file is removed and treated as a miss.
+//! [`crate::TraceCache`] stores these files as
+//! `<key>-s<SNAPSHOT_VERSION>.fgss`; see the [`crate::cache`] module for
+//! its invalidation rules.
 
-use std::fs;
-use std::path::PathBuf;
-
-use crate::{fnv1a, read_varint, write_varint, TraceCache, TraceFileError};
+use crate::{fnv1a, read_varint, write_varint, TraceFileError};
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"FGSS";
 
-/// On-disk snapshot format version. Folded into snapshot cache file names
-/// and into `ExperimentSpec` dedup keys; bumping it orphans every stored
-/// snapshot (they are re-generated on the next sampled run) without
-/// touching trace files.
+/// On-disk snapshot format version. Folded into snapshot cache file
+/// names; bumping it orphans every stored snapshot (they are re-generated
+/// on the next sampled run).
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A serialized set of live-points: one opaque warm-state payload per
@@ -153,61 +148,6 @@ impl SnapshotFile {
     }
 }
 
-impl TraceCache {
-    /// The file a snapshot key maps to. [`SNAPSHOT_VERSION`] is part of
-    /// the name, so bumping it orphans (rather than misreads) old files —
-    /// the same rule trace files follow with their format version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` contains a path separator — keys are file names,
-    /// not paths.
-    pub fn snapshot_path_for(&self, key: &str) -> PathBuf {
-        assert!(
-            !key.contains(['/', '\\']),
-            "cache key `{key}` must not contain path separators"
-        );
-        self.dir().join(format!("{key}-s{SNAPSHOT_VERSION}.fgss"))
-    }
-
-    /// Loads the snapshot stored under `key`, or `None` on any kind of
-    /// miss: no file, unreadable file, wrong version, corruption or
-    /// checksum mismatch. Invalid files are removed so the next store
-    /// starts clean — a damaged snapshot silently degrades to re-warming,
-    /// never to a panic or a skewed estimate.
-    pub fn load_snapshot(&self, key: &str) -> Option<SnapshotFile> {
-        let path = self.snapshot_path_for(key);
-        let data = fs::read(&path).ok()?;
-        match SnapshotFile::decode(&data) {
-            Ok(snap) => Some(snap),
-            Err(_) => {
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    /// Stores `snap` under `key`, atomically replacing any existing file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn store_snapshot(&self, key: &str, snap: &SnapshotFile) -> Result<(), TraceFileError> {
-        fs::create_dir_all(self.dir())?;
-        let data = snap.encode();
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let path = self.snapshot_path_for(key);
-        let tmp = self.dir().join(format!(
-            "{key}-s{SNAPSHOT_VERSION}.fgss.tmp{}-{seq}",
-            std::process::id()
-        ));
-        fs::write(&tmp, &data)?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,13 +162,6 @@ mod tests {
             ],
             final_state: vec![42; 1000],
         }
-    }
-
-    fn temp_cache(tag: &str) -> TraceCache {
-        let dir =
-            std::env::temp_dir().join(format!("fgstp-snapshot-unit-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TraceCache::new(dir)
     }
 
     #[test]
@@ -289,45 +222,5 @@ mod tests {
             SnapshotFile::decode(&payload),
             Err(TraceFileError::Truncated)
         ));
-    }
-
-    #[test]
-    fn cache_miss_store_hit_and_corruption_recovery() {
-        let cache = temp_cache("cycle");
-        let s = sample();
-        assert!(cache.load_snapshot("k").is_none(), "cold cache misses");
-        cache.store_snapshot("k", &s).unwrap();
-        assert_eq!(cache.load_snapshot("k").unwrap(), s, "warm cache hits");
-        // Bit-flip the stored file: miss, and the file is removed.
-        let path = cache.snapshot_path_for("k");
-        let mut data = fs::read(&path).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xff;
-        fs::write(&path, &data).unwrap();
-        assert!(cache.load_snapshot("k").is_none(), "corruption is a miss");
-        assert!(!path.exists(), "invalid file is removed");
-        // Truncation likewise.
-        cache.store_snapshot("k", &s).unwrap();
-        let data = fs::read(&path).unwrap();
-        fs::write(&path, &data[..data.len() / 2]).unwrap();
-        assert!(cache.load_snapshot("k").is_none(), "truncation is a miss");
-        assert!(!path.exists());
-        fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn snapshot_version_is_part_of_the_file_name() {
-        let cache = TraceCache::new("target/trace-cache");
-        let p = cache.snapshot_path_for("mcf_pointer-test-w");
-        assert_eq!(
-            p.file_name().unwrap().to_str().unwrap(),
-            format!("mcf_pointer-test-w-s{SNAPSHOT_VERSION}.fgss")
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "path separators")]
-    fn snapshot_keys_are_not_paths() {
-        TraceCache::new("x").snapshot_path_for("../escape");
     }
 }

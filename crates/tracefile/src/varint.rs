@@ -4,7 +4,7 @@
 //! cursor that advances past what they decode. No external buffer crate
 //! is involved, so the workspace builds with no network access.
 //!
-//! The trace format and the warm-state payloads of live-points (the
+//! The live-point container and its warm-state payloads (the
 //! `save_state` codecs in `fgstp-mem`, `fgstp-bpred` and `fgstp-ooo`)
 //! share this one implementation; [`take_varint`] and [`take_count`] are
 //! the readers in the `Result<_, String>` form those payload codecs use.

@@ -1,66 +1,49 @@
-//! Property tests: trace serialization round-trips arbitrary dynamic
-//! instructions and real workload traces, and corruption never panics.
+//! Property tests: live-point files reject random corruption without
+//! panicking, and the zigzag codec warm-state payloads use is a
+//! bijection.
 //!
 //! Cases come from the workspace's deterministic [`Xorshift`] generator;
 //! every assertion names its case seed so failures replay exactly.
 
-use fgstp_isa::{trace_program, DynInst, Inst, Op, Reg};
-use fgstp_tracefile::{read_trace, write_trace, zigzag_decode, zigzag_encode};
+use fgstp_tracefile::{zigzag_decode, zigzag_encode, SnapshotFile};
 use fgstp_workloads::gen::Xorshift;
-use fgstp_workloads::{by_name, Scale};
 
 const CASES: u64 = 256;
 
-fn arb_dyninst(g: &mut Xorshift, seq: u64) -> DynInst {
-    let ops: Vec<Op> = Op::all().collect();
-    let opt = |g: &mut Xorshift| g.flip().then(|| g.next_u64());
-    DynInst {
-        seq,
-        pc: g.next_u64(),
-        inst: Inst {
-            op: *g.pick(&ops),
-            rd: Reg::from_index(g.range_u64(0, 64) as u8).unwrap(),
-            rs1: Reg::from_index(g.range_u64(0, 64) as u8).unwrap(),
-            rs2: Reg::from_index(g.range_u64(0, 64) as u8).unwrap(),
-            imm: g.next_u64() as i64,
-        },
-        next_pc: g.next_u64(),
-        addr: opt(g),
-        taken: g.flip().then(|| g.flip()),
-        rd_value: opt(g),
-        store_value: opt(g),
-    }
-}
-
-fn arb_stream(g: &mut Xorshift, lo: usize, hi: usize) -> Vec<DynInst> {
-    (0..g.range_usize(lo, hi))
-        .map(|i| arb_dyninst(g, i as u64))
+fn arb_bytes(g: &mut Xorshift, hi: usize) -> Vec<u8> {
+    (0..g.range_usize(0, hi))
+        .map(|_| g.next_u64() as u8)
         .collect()
 }
 
-/// Any instruction stream round-trips exactly.
-#[test]
-fn arbitrary_streams_round_trip() {
-    for case in 0..CASES {
-        let mut g = Xorshift::new(0x21_0001 + case);
-        let insts = arb_stream(&mut g, 0, 60);
-        let bytes = write_trace(&insts);
-        let back = read_trace(&bytes).expect("round trip decodes");
-        assert_eq!(back, insts, "case {case}");
+fn arb_snapshot(g: &mut Xorshift) -> SnapshotFile {
+    SnapshotFile {
+        total_insts: g.next_u64(),
+        windows: (0..g.range_usize(0, 6))
+            .map(|_| (g.next_u64(), arb_bytes(g, 40)))
+            .collect(),
+        final_state: arb_bytes(g, 40),
     }
 }
 
 /// Random corruptions never panic; they decode to an error or to some
-/// well-formed (possibly different) trace.
+/// well-formed (possibly different) snapshot.
 #[test]
 fn corruption_never_panics() {
     for case in 0..CASES {
         let mut g = Xorshift::new(0x22_0001 + case);
-        let insts = arb_stream(&mut g, 1, 20);
-        let mut bytes = write_trace(&insts);
+        let snap = arb_snapshot(&mut g);
+        let mut bytes = snap.encode();
+        assert_eq!(
+            SnapshotFile::decode(&bytes).unwrap(),
+            snap,
+            "case {case}: round trip"
+        );
         let idx = g.range_usize(0, bytes.len());
         bytes[idx] ^= (g.next_u64() as u8) | 1;
-        let _ = read_trace(&bytes); // must not panic
+        let _ = SnapshotFile::decode(&bytes); // must not panic
+        let cut = g.range_usize(0, bytes.len());
+        let _ = SnapshotFile::decode(&bytes[..cut]); // must not panic
     }
 }
 
@@ -72,15 +55,4 @@ fn zigzag_bijection() {
         let v = g.next_u64() as i64;
         assert_eq!(zigzag_decode(zigzag_encode(v)), v, "case {case}: {v}");
     }
-}
-
-#[test]
-fn workload_trace_round_trips_and_is_compact() {
-    let w = by_name("gcc_expr", Scale::Test).unwrap();
-    let t = trace_program(w.program(), 2_000_000).unwrap();
-    let bytes = write_trace(t.insts());
-    let back = read_trace(&bytes).unwrap();
-    assert_eq!(back, t.insts());
-    let per_inst = bytes.len() as f64 / t.len() as f64;
-    assert!(per_inst < 16.0, "{per_inst} bytes per instruction");
 }

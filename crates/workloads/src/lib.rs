@@ -99,9 +99,9 @@ impl Scale {
 ///
 /// The simulator pipeline is frontend-agnostic: both variants produce a
 /// SimRISC [`Trace`] via [`Workload::try_trace`], and everything
-/// downstream (timing models, trace files, sampling, the service)
-/// consumes that. The tag matters only at trace-generation time and for
-/// cache/dedup identity (translated RV traces carry
+/// downstream (timing models, sampling, the service) consumes that. The
+/// tag matters only at trace-generation time and for live-point cache
+/// identity (live-points warmed from translated RV traces carry
 /// [`fgstp_rv::TRANSLATION_VERSION`] in their keys).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSource {
@@ -150,7 +150,7 @@ impl Workload {
     }
 
     /// Short frontend tag: `"syn"` for synthetic SimRISC kernels,
-    /// `"rv"` for RV32 programs. Used in trace-cache keys.
+    /// `"rv"` for RV32 programs. Used in live-point cache keys.
     pub fn frontend(&self) -> &'static str {
         match self.source {
             WorkloadSource::Synthetic(_) => "syn",
@@ -310,6 +310,24 @@ mod tests {
     fn scales_are_ordered() {
         assert!(Scale::Test.factor() < Scale::Small.factor());
         assert!(Scale::Small.factor() < Scale::Reference.factor());
+    }
+
+    /// Traces are allocated at their final size: at most one spare slot
+    /// (the unrecorded halt), never a `Vec` grown by doubling.
+    #[test]
+    fn traces_are_sized_exactly() {
+        let all = suite(Scale::Test).into_iter().chain(rv_suite(Scale::Test));
+        let mut n = 0;
+        for w in all {
+            let insts = w
+                .try_trace(Scale::Test.trace_budget())
+                .unwrap()
+                .into_insts();
+            let spare = insts.capacity() - insts.len();
+            assert!(spare <= 1, "{}: {spare} spare slots", w.name);
+            n += 1;
+        }
+        assert_eq!(n, 23, "18 suite kernels and 5 rv: programs");
     }
 
     #[test]

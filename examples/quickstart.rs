@@ -1,7 +1,6 @@
 //! Quickstart: run one workload on all three machines of the small 2-core
 //! CMP and print the headline comparison. The [`Session`] traces the
-//! workload once (through the on-disk trace cache) and runs the machines
-//! in parallel.
+//! workload once and runs the machines in parallel.
 //!
 //! ```sh
 //! cargo run --release --example quickstart [workload]
@@ -49,9 +48,4 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let stats = session.cache_stats();
-    println!(
-        "(trace cache: {} hits, {} misses)",
-        stats.hits, stats.misses
-    );
 }

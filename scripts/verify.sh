@@ -57,6 +57,13 @@ if ! cmp -s <(grep -v "live-points:" target/e18_cli_a.txt) \
   diff target/e18_cli_a.txt target/e18_cli_b.txt || true
   exit 1
 fi
+# Traces are regenerated on every run, never stored: the cache directory
+# holds live-points only.
+fgtr_files=$(find target/trace-cache -name '*.fgtr' | wc -l)
+if [ "$fgtr_files" -ne 0 ]; then
+  echo "sampled runs left $fgtr_files trace files under target/trace-cache"
+  exit 1
+fi
 # Live-points are content-sized: chase_long fills the whole L2, so this is
 # the largest live-point set at test scale (2.36 MB). Encoded at a fixed
 # width per cache line and table entry, the same set takes 9.35 MB.

@@ -25,7 +25,7 @@
 //! | [`sampling`] | `fgstp-sampling` | SMARTS-style sampled simulation with functional warming |
 //! | [`sim`] | `fgstp-sim` | machine presets, suite runner, report tables |
 //! | [`telemetry`] | `fgstp-telemetry` | cycle accounting, CPI stacks, JSON, Chrome-trace export |
-//! | [`tracefile`] | `fgstp-tracefile` | compact binary trace serialization |
+//! | [`tracefile`] | `fgstp-tracefile` | on-disk live-point cache, varint codec |
 //! | [`service`] | `fgstp-service` | `fgstpd` batch daemon, `fgstp` client, wire protocol |
 //!
 //! ## Quickstart
@@ -34,8 +34,7 @@
 //! use fg_stp_repro::prelude::*;
 //!
 //! // Run one workload on two machines of the small CMP. The session
-//! // traces it once (consulting the on-disk trace cache) and fans the
-//! // runs out over a worker pool.
+//! // traces it once and fans the runs out over a worker pool.
 //! let w = fg_stp_repro::workloads::by_name("hmmer_dp", Scale::Test).unwrap();
 //! let bench = Session::new()
 //!     .scale(Scale::Test)
@@ -68,8 +67,8 @@ pub mod prelude {
     pub use fgstp_ooo::{run_single, CoreConfig};
     pub use fgstp_sampling::{Estimate, SampleConfig, SampledRun};
     pub use fgstp_sim::{
-        geomean, run_on, run_on_instrumented, run_on_sampled, run_suite, CacheStats,
-        ExperimentSpec, MachineKind, RunPlan, Scale, Session, SpecError, SpecErrorKind, Table,
+        geomean, run_on, run_on_instrumented, run_on_sampled, run_suite, ExperimentSpec,
+        MachineKind, RunPlan, Scale, Session, SpecError, SpecErrorKind, Table,
     };
     pub use fgstp_telemetry::{write_chrome_trace, CpiSink, CpiStack, StallCategory};
     pub use fgstp_workloads::{suite, SuiteClass, Workload};

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `fgstpd` batch-simulation service: protocol
-//! round-trips, dedup against the trace-cache-versioned key, concurrent
+//! round-trips, dedup against the spec's dedup key, concurrent
 //! clients receiving rows bit-identical to direct `Session` runs,
 //! structured rejection of malformed and unsatisfiable specs, and
 //! graceful drain shutdown with a non-empty queue.

@@ -1,83 +1,29 @@
-//! Cross-crate consequences of bumping the on-disk format versions
-//! ([`fg_stp_repro::tracefile::VERSION`] for traces,
-//! [`fg_stp_repro::tracefile::SNAPSHOT_VERSION`] for live-point
-//! snapshots).
+//! Cross-crate consequences of bumping the live-point format version
+//! ([`fg_stp_repro::tracefile::SNAPSHOT_VERSION`]), and the frontend
+//! identity live-point keys carry.
 //!
-//! Each version threads through two identity schemes that must both roll
-//! over together on a format bump:
-//!
-//! * the on-disk cache embeds it in every file name, so files written by
-//!   a pre-bump build are orphaned (a clean miss + re-trace or re-warm),
-//!   never misread, and
-//! * [`ExperimentSpec::dedup_key`] prefixes it onto every job identity,
-//!   so a post-bump `fgstpd` daemon never serves cached rows keyed by a
-//!   pre-bump submission.
-//!
-//! The two versions are independent: a snapshot-format bump orphans
-//! stale live-points without invalidating a single trace file.
+//! The on-disk cache embeds the version in every file name, so files
+//! written by a pre-bump build are orphaned (a clean miss + re-warm),
+//! never misread.
 
 use fg_stp_repro::prelude::*;
-use fg_stp_repro::service::JobQueue;
-use fg_stp_repro::tracefile::{SNAPSHOT_VERSION, VERSION};
-use fg_stp_repro::workloads::by_name;
+use fg_stp_repro::tracefile::SNAPSHOT_VERSION;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("fgstp-vtest-{tag}-{}", std::process::id()))
 }
 
-/// A cache file stamped with an older format version in its name is
-/// invisible to the current build: the session re-traces (miss), stores a
-/// fresh current-version file alongside, and never opens the old one.
-#[test]
-fn version_bump_orphans_old_cache_files() {
-    let dir = temp_dir("orphan");
-    let _ = std::fs::remove_dir_all(&dir);
-    let w = by_name("gcc_expr", Scale::Test).unwrap();
-
-    let writer = Session::new().scale(Scale::Test).cache_dir(&dir);
-    let cold = writer.trace(&w);
-    let current = std::fs::read_dir(&dir)
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
         .unwrap()
-        .map(|e| e.unwrap().path())
-        .next()
-        .expect("one cache file");
-    let name = current.file_name().unwrap().to_str().unwrap().to_owned();
-    assert!(
-        name.ends_with(&format!("-v{VERSION}.fgtr")),
-        "cache file carries the current format version: {name}"
-    );
-
-    // Re-stamp the file as the previous format version — byte-identical
-    // payload, pre-bump name — as if it were left behind by an older
-    // build whose VERSION was one lower.
-    let old = current.with_file_name(name.replace(
-        &format!("-v{VERSION}.fgtr"),
-        &format!("-v{}.fgtr", VERSION - 1),
-    ));
-    std::fs::rename(&current, &old).unwrap();
-
-    let reader = Session::new().scale(Scale::Test).cache_dir(&dir);
-    let retraced = reader.trace(&w);
-    assert_eq!(
-        reader.cache_stats(),
-        CacheStats { hits: 0, misses: 1 },
-        "a pre-bump file must read as a miss, not a hit"
-    );
-    assert_eq!(cold, retraced);
-    assert!(
-        current.exists(),
-        "the miss re-stored a current-version file"
-    );
-    assert!(old.exists(), "the orphaned file is ignored, not deleted");
-
-    std::fs::remove_dir_all(&dir).unwrap();
+        .map(|e| e.unwrap().file_name().to_str().unwrap().to_owned())
+        .collect()
 }
 
 /// A live-point snapshot stamped with an older snapshot-format version is
 /// invisible to the current build — a clean snapshot miss that silently
-/// re-warms and re-stores — while the trace files in the same directory
-/// stay valid and keep hitting: the two format versions roll over
-/// independently.
+/// re-warms and re-stores. Traces play no part: they are regenerated on
+/// every run and never reach the cache directory.
 #[test]
 fn snapshot_version_bump_orphans_snapshots_not_traces() {
     let dir = temp_dir("ss-orphan");
@@ -94,10 +40,10 @@ fn snapshot_version_bump_orphans_snapshots_not_traces() {
             .sample(scfg)
             .machines([MachineKind::FgstpSmall]);
         let r = s.plan().workload_names(&["perl_hash"]).execute();
-        (r, s.cache_stats(), s.snapshot_stats())
+        (r, s.snapshot_stats())
     };
 
-    let (cold, _, cs) = run();
+    let (cold, cs) = run();
     assert_eq!((cs.hits, cs.misses), (0, 1));
     let cycles = cold[0].runs[0].result.cycles;
     let snapshot = std::fs::read_dir(&dir)
@@ -116,18 +62,13 @@ fn snapshot_version_bump_orphans_snapshots_not_traces() {
     assert_ne!(old, snapshot, "version suffix present in the name");
     std::fs::rename(&snapshot, &old).unwrap();
 
-    let (rerun, trace_stats, ss) = run();
+    let (rerun, ss) = run();
     assert_eq!(
         (ss.hits, ss.misses),
         (0, 1),
         "a pre-bump snapshot must read as a miss, not a hit"
     );
     assert!(ss.warmed_insts > 0, "the miss re-warmed the trace");
-    assert_eq!(
-        trace_stats,
-        CacheStats { hits: 1, misses: 0 },
-        "the trace file is untouched by the snapshot bump and still hits"
-    );
     assert_eq!(rerun[0].runs[0].result.cycles, cycles);
     assert!(
         snapshot.exists(),
@@ -137,106 +78,66 @@ fn snapshot_version_bump_orphans_snapshots_not_traces() {
         old.exists(),
         "the orphaned snapshot is ignored, not deleted"
     );
+    let names = file_names(&dir);
+    assert!(
+        names.iter().all(|n| n.contains(".fgss")),
+        "only live-points are stored: {names:?}"
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Cache file names lead with the frontend — `syn-` for SimRISC kernels,
-/// `rv<translation-version>-` for RV32 programs — so traces produced by
-/// different frontends (or different translation schemes) can never
-/// collide, and both frontends hit their own files on a warm re-read.
+/// Live-point file names lead with the frontend — `syn-` for SimRISC
+/// kernels, `rv<translation-version>-` for RV32 programs — so live-points
+/// warmed from different frontends (or different translation schemes)
+/// can never collide, and both frontends hit their own files on a warm
+/// rerun.
 #[test]
 fn cache_file_identity_separates_frontends() {
     let dir = temp_dir("frontend");
     let _ = std::fs::remove_dir_all(&dir);
-    let syn = by_name("gcc_expr", Scale::Test).unwrap();
-    let rv = by_name("rv:crc32", Scale::Test).unwrap();
+    let session = || {
+        Session::new()
+            .scale(Scale::Test)
+            .cache_dir(&dir)
+            .sample(SampleConfig {
+                interval: 2_000,
+                warmup: 300,
+                detail: 150,
+            })
+            .machines([MachineKind::SingleSmall])
+            .workloads(["gcc_expr".to_owned(), "rv:crc32".to_owned()])
+    };
 
-    let writer = Session::new().scale(Scale::Test).cache_dir(&dir);
-    let syn_trace = writer.trace(&syn);
-    let rv_trace = writer.trace(&rv);
-    assert_eq!(writer.cache_stats(), CacheStats { hits: 0, misses: 2 });
+    let writer = session();
+    let cold = writer.run_suite();
+    let ws = writer.snapshot_stats();
+    assert_eq!((ws.hits, ws.misses), (0, 2));
 
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_str().unwrap().to_owned())
-        .collect();
+    let names = file_names(&dir);
     assert_eq!(names.len(), 2, "{names:?}");
     assert!(
         names.iter().any(|n| n.starts_with("syn-gcc_expr-")),
-        "synthetic trace file carries the syn prefix: {names:?}"
+        "synthetic live-points carry the syn prefix: {names:?}"
     );
     let rv_prefix = format!("rv{}-rv_crc32-", fg_stp_repro::rv::TRANSLATION_VERSION);
     assert!(
         names.iter().any(|n| n.starts_with(&rv_prefix)),
-        "RV trace file carries the translation-versioned prefix: {names:?}"
+        "RV live-points carry the translation-versioned prefix: {names:?}"
     );
 
-    let reader = Session::new().scale(Scale::Test).cache_dir(&dir);
-    assert_eq!(reader.trace(&syn), syn_trace);
-    assert_eq!(reader.trace(&rv), rv_trace);
+    let reader = session();
+    let warm = reader.run_suite();
+    let rs = reader.snapshot_stats();
     assert_eq!(
-        reader.cache_stats(),
-        CacheStats { hits: 2, misses: 0 },
+        (rs.hits, rs.misses),
+        (2, 0),
         "both frontends hit their own files"
     );
+    assert_eq!(cold.len(), 2);
+    for (a, b) in cold.iter().zip(&warm) {
+        assert_eq!(a.runs[0].result.cycles, b.runs[0].result.cycles);
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The service queue's dedup identity is the spec's `dedup_key`, and that
-/// key is versioned by the trace format: equal specs dedup to one job,
-/// while the same spec keyed by a different format version can never
-/// collide with it.
-#[test]
-fn queue_dedup_is_keyed_by_the_versioned_spec_identity() {
-    let spec = ExperimentSpec::from_args(&["test", "--workloads=perl_hash"]).unwrap();
-    let key = spec.dedup_key();
-    let prefix = format!(
-        "fgtr-v{VERSION}-ss{SNAPSHOT_VERSION}-rv{}:",
-        fg_stp_repro::rv::TRANSLATION_VERSION
-    );
-    assert!(
-        key.starts_with(&prefix),
-        "dedup key is versioned by the trace, snapshot, and RV translation formats: {key}"
-    );
-
-    // Same spec, same build: the queue returns the first job instead of
-    // enqueueing a copy.
-    let queue = JobQueue::with_capacity(8);
-    let (id_first, deduped_first) = queue.submit(spec.clone()).unwrap();
-    assert!(!deduped_first);
-    let (id_again, deduped_again) = queue.submit(spec.clone()).unwrap();
-    assert!(deduped_again, "identical spec dedups against the live job");
-    assert_eq!(id_first, id_again);
-
-    // A pre-bump build computes the same spec body under the previous
-    // version prefix. The queue's dedup map is keyed on the full string,
-    // so the old and new identities are distinct — a format bump re-keys
-    // every job, exactly like it re-keys the cache files. The same holds
-    // for a translation-scheme bump on the RV side of the prefix.
-    let body = &key[prefix.len()..];
-    let old_key = format!(
-        "fgtr-v{}-ss{SNAPSHOT_VERSION}-rv{}:{body}",
-        VERSION - 1,
-        fg_stp_repro::rv::TRANSLATION_VERSION
-    );
-    assert_ne!(old_key, key);
-    let old_ss_key = format!(
-        "fgtr-v{VERSION}-ss{}-rv{}:{body}",
-        SNAPSHOT_VERSION + 1,
-        fg_stp_repro::rv::TRANSLATION_VERSION
-    );
-    assert_ne!(old_ss_key, key);
-    let old_rv_key = format!(
-        "fgtr-v{VERSION}-ss{SNAPSHOT_VERSION}-rv{}:{body}",
-        fg_stp_repro::rv::TRANSLATION_VERSION + 1
-    );
-    assert_ne!(old_rv_key, key);
-
-    // Distinct spec bodies stay distinct jobs under the same version.
-    let other = ExperimentSpec::from_args(&["test", "--workloads=hmmer_dp"]).unwrap();
-    let (id_other, deduped_other) = queue.submit(other).unwrap();
-    assert!(!deduped_other);
-    assert_ne!(id_first, id_other);
 }
