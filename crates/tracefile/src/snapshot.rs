@@ -151,6 +151,8 @@ impl SnapshotFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceCache;
+    use std::fs;
 
     fn sample() -> SnapshotFile {
         SnapshotFile {
@@ -162,6 +164,13 @@ mod tests {
             ],
             final_state: vec![42; 1000],
         }
+    }
+
+    fn temp_cache(tag: &str) -> TraceCache {
+        let dir =
+            std::env::temp_dir().join(format!("fgstp-snapshot-unit-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        TraceCache::new(dir)
     }
 
     #[test]
@@ -222,5 +231,58 @@ mod tests {
             SnapshotFile::decode(&payload),
             Err(TraceFileError::Truncated)
         ));
+    }
+
+    #[test]
+    fn cache_miss_store_hit_and_corruption_recovery() {
+        let cache = temp_cache("cycle");
+        let s = sample();
+        assert!(cache.load_snapshot("k").is_none(), "cold cache misses");
+        cache.store_snapshot("k", &s).unwrap();
+        assert_eq!(cache.load_snapshot("k").unwrap(), s, "warm cache hits");
+        // Bit-flip the stored file: miss, the file is removed, and the
+        // next store (the caller's re-warm) hits again.
+        let path = cache.snapshot_path_for("k");
+        let mut data = fs::read(&path).unwrap();
+        let mid = data.len() / 2;
+        data[mid] ^= 0xff;
+        fs::write(&path, &data).unwrap();
+        assert!(cache.load_snapshot("k").is_none(), "corruption is a miss");
+        assert!(!path.exists(), "invalid file is removed");
+        cache.store_snapshot("k", &s).unwrap();
+        assert_eq!(cache.load_snapshot("k").unwrap(), s, "re-store recovers");
+        // Truncation likewise.
+        let data = fs::read(&path).unwrap();
+        fs::write(&path, &data[..data.len() / 2]).unwrap();
+        assert!(cache.load_snapshot("k").is_none(), "truncation is a miss");
+        assert!(!path.exists());
+        cache.store_snapshot("k", &s).unwrap();
+        assert_eq!(cache.load_snapshot("k").unwrap(), s, "re-store recovers");
+        fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn snapshot_version_is_part_of_the_file_name() {
+        // A file under another version's name is neither read nor
+        // overwritten: a version bump orphans old files.
+        let cache = temp_cache("version");
+        let s = sample();
+        fs::create_dir_all(cache.dir()).unwrap();
+        let old = cache
+            .dir()
+            .join(format!("k-s{}.fgss", SNAPSHOT_VERSION + 1));
+        fs::write(&old, s.encode()).unwrap();
+        assert!(cache.load_snapshot("k").is_none(), "other versions miss");
+        cache.store_snapshot("k", &s).unwrap();
+        assert_ne!(cache.snapshot_path_for("k"), old);
+        assert_eq!(fs::read(&old).unwrap(), s.encode(), "old file untouched");
+        fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "path separators")]
+    fn snapshot_keys_are_not_paths() {
+        // The key check runs before any file is read.
+        TraceCache::new("x").load_snapshot("../escape");
     }
 }
