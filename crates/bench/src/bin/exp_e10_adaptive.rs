@@ -6,9 +6,8 @@
 //! mode, then commit, with reconfiguration penalties), and the oracle
 //! upper bound — per benchmark and in geomean.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp::{run_fgstp, run_oracle, run_sampling, FgstpConfig, SamplingConfig};
 use fgstp_bench::{print_experiment, ExpArgs};

@@ -5,9 +5,8 @@
 //! `fgstp-sim::energy`: energy per instruction (EPI) and energy–delay
 //! product, normalized to one small core with its partner power-gated.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_sim::energy::{energy_of, EnergyModel};

@@ -12,9 +12,9 @@
 //! Telemetry never changes timing: the cycles and speedups measured here
 //! are bit-identical to E1/E2.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
+//! the `--sample*` flags (a sampled run of the suite) and `--csv`; see
+//! `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_sim::{cpi_stack_table, MachineKind};

@@ -12,9 +12,8 @@
 //! reproduction's extrapolation (greedy min-load steering and N-way
 //! cut-minimization — see DESIGN.md, "N-core generalization").
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp::{run_fgstp_warm, FgstpConfig};
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};

@@ -14,9 +14,9 @@
 //! the substitution: the sampled geomean should sit within a couple of
 //! percent of full detail at a ≥10× detail reduction.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--threads=N` and `--csv`: the workloads are
+//! the long-run suite and the sampling regimes are fixed. See
+//! `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_sim::{

@@ -17,11 +17,9 @@
 //!    second over the batch, the figure recorded in
 //!    `results/experiments_e15_service.txt`.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`. The scale word
-//! sizes the specs in the batch; `--threads` sizes the daemon's worker
-//! pool.
+//! Accepts a scale word, `--threads=N` and `--csv`; see
+//! `fgstp_bench::ExpArgs`. The scale word sizes the specs in the batch;
+//! `--threads` sizes the daemon's worker pool.
 //!
 //! Run at the recorded scale with: `exp_e15_service small`.
 
@@ -65,11 +63,7 @@ fn batch_specs(args: &ExpArgs) -> Vec<ExperimentSpec> {
     ];
     specs
         .iter()
-        .map(|flags| {
-            let mut spec = ExperimentSpec::from_args(flags).expect("batch specs are valid");
-            spec.no_cache = args.spec.no_cache;
-            spec
-        })
+        .map(|flags| ExperimentSpec::from_args(flags).expect("batch specs are valid"))
         .collect()
 }
 

@@ -32,9 +32,8 @@
 //! arbitration): the binary re-runs one scenario and asserts bit-identical
 //! cycles before printing.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b` to narrow the foreground set,
-//! `--threads=N`, `--no-cache`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b` to narrow the foreground set,
+//! `--threads=N` and `--csv`; see `fgstp_bench::ExpArgs`.
 
 use fgstp::{
     run_corun, run_dynamic, CoRunContention, CoRunPlan, CoRunProgram, CorePhase, DynamicConfig,

@@ -21,9 +21,9 @@
 //! before printing — the frontend feeds the deterministic pipeline
 //! deterministically.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b` to narrow the RV set, `--threads=N`,
-//! `--no-cache`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b` to narrow the RV set,
+//! `--threads=N`, `--no-cache`, the `--sample*` flags (a sampled speedup
+//! table) and `--csv`; see `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_isa::InstClass;

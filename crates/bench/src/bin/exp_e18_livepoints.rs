@@ -20,15 +20,17 @@
 //! bit-identical across all three — the live-point contract: checkpoints
 //! buy time, never accuracy.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--threads=N`, `--sample=I,W,D`) plus `--csv`; the cache
-//! directory is a private temporary one so the cold leg is really cold.
+//! Accepts a scale word, `--threads=N`, the `--sample*` flags (the
+//! regime; `--sample-interval=10000 --sample-warmup=600
+//! --sample-detail=300` by default) and `--csv`; see
+//! `fgstp_bench::ExpArgs`. The cache directory is a private temporary
+//! one so the cold leg is really cold.
 
 use std::path::Path;
 use std::time::Instant;
 
 use fgstp_bench::{print_experiment, ExpArgs};
-use fgstp_sim::{geomean, BenchResult, MachineKind, SampleConfig, Table};
+use fgstp_sim::{geomean, BenchResult, ExperimentSpec, MachineKind, SampleConfig, Table};
 use fgstp_workloads::{by_name, long_suite};
 
 /// Projected cycles per (workload, machine), the identity the phases
@@ -79,12 +81,15 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let run_phase = |cached: bool| {
-        let s = args.session().sample(scfg).machines(machines);
-        let s = if cached {
-            s.cache_dir(&dir)
-        } else {
-            s.no_cache()
+        let spec = ExperimentSpec {
+            no_cache: !cached,
+            ..args.spec.clone()
         };
+        let s = spec
+            .session()
+            .sample(scfg)
+            .machines(machines)
+            .cache_dir(&dir);
         let t0 = Instant::now();
         let results = s.plan().workloads(workloads.clone()).execute();
         (results, s.snapshot_stats(), t0.elapsed())

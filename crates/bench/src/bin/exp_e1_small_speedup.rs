@@ -4,9 +4,9 @@
 //! geomean. The paper's headline: Fg-STP beats Core Fusion by ~7% on
 //! average on the small configuration.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
+//! the `--sample*` flags (a sampled run of the suite) and `--csv`; see
+//! `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{run_speedup_experiment, ExpArgs};
 use fgstp_sim::MachineKind;

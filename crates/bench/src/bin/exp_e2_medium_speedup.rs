@@ -5,9 +5,9 @@
 //! configuration — a larger margin than on the small one, because fusing
 //! two already-capable cores buys less while its front-end overheads stay.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
+//! the `--sample*` flags (a sampled run of the suite) and `--csv`; see
+//! `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{run_speedup_experiment, ExpArgs};
 use fgstp_sim::MachineKind;

@@ -5,9 +5,8 @@
 //! The window doubles as the fetch-skew bound between the cores, so small
 //! windows both partition worse and couple the frontends tighter.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp::{run_fgstp, FgstpConfig, PartitionPolicy};
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};

@@ -4,9 +4,8 @@
 //! and reports speedup, mean queue occupancy and producer-side
 //! back-pressure — the data that sizes the paper's queues.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp::{run_fgstp, FgstpConfig};
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};

@@ -5,9 +5,8 @@
 //! that shows Fg-STP's partitioner balancing real codes while keeping the
 //! cut small.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp::{run_fgstp, FgstpConfig};
 use fgstp_bench::{print_experiment, ExpArgs};

@@ -5,9 +5,8 @@
 //! conservative machine that orders every load behind the youngest older
 //! remote store.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts a scale word, `--workloads=a,b`, `--threads=N` and `--csv`;
+//! see `fgstp_bench::ExpArgs`.
 
 use fgstp::{run_fgstp, FgstpConfig};
 use fgstp_bench::{print_experiment, ExpArgs};

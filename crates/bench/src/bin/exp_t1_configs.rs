@@ -3,9 +3,8 @@
 //! Prints the small/medium core parameters and the Fg-STP/Core Fusion
 //! coupling parameters used by every other experiment.
 //!
-//! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
-//! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
+//! Accepts `--csv`; a scale word only labels the banner. See
+//! `fgstp_bench::ExpArgs`.
 
 use fgstp::FgstpConfig;
 use fgstp_bench::{print_experiment, ExpArgs};

@@ -8,24 +8,46 @@
 //! `bench_functional` (the functional interpreter), both gated by
 //! `scripts/perf_gate.sh`.
 //!
-//! Every binary accepts the shared [`fgstp_sim::ExperimentSpec`] flag
-//! vocabulary (an optional scale word, `--workloads=a,b` to narrow the
-//! suite, `--threads=N` to size the session's worker pool, `--no-cache`
-//! to disable the on-disk live-point cache, and `--sample` with optional
-//! `--sample-interval=N` / `--sample-warmup=N` / `--sample-detail=N` for
-//! SMARTS-style sampled simulation) plus `--csv` for machine-readable
-//! output. The same spec drives the `fgstpd` batch daemon and the
-//! `fgstp` client — see `crates/service`.
+//! Every binary parses the same flags: an optional scale word,
+//! `--workloads=a,b` to narrow the suite, `--threads=N` to size the
+//! session's worker pool, `--no-cache` to disable the on-disk live-point
+//! cache, `--sample` with optional `--sample-interval=N` /
+//! `--sample-warmup=N` / `--sample-detail=N` for SMARTS-style sampled
+//! simulation, and `--csv` for machine-readable output. Each binary
+//! honours the subset its `Accepts` line names: only E1, E2, E12, E17
+//! and E18 run sampled (E18 always does; `--sample*` sets its regime),
+//! so only they honour `--sample*`, and `--no-cache` only matters to
+//! sampled runs. The spec flags no binary honours — `--machines`,
+//! `--cores`, `--corun`, `--corun-isolated` and `--telemetry` — are
+//! rejected: each binary picks its own machines, core counts, co-runs
+//! and instrumentation. The same spec flags drive the `fgstpd` batch
+//! daemon and the `fgstp` client — see `crates/service`.
 
 use fgstp_isa::Trace;
-use fgstp_sim::{run_on, ExperimentSpec, MachineKind, MachineRun, Scale, Session, Table, Workload};
+use fgstp_sim::{
+    run_on, ExperimentSpec, MachineKind, MachineRun, Scale, Session, SpecError, SpecErrorKind,
+    Table, Workload,
+};
 
 pub use fgstp_telemetry::json;
 
-/// Command-line options shared by all experiment binaries: a full
-/// [`ExperimentSpec`] (every binary understands the shared spec
-/// vocabulary — scale words, `--workloads=`, `--threads=N`, `--no-cache`,
-/// the `--sample*` flags, …) plus the harness-local `--csv` toggle.
+/// The flags of the experiment binaries, for usage messages.
+pub const EXP_USAGE: &str = "[test|small|reference] [--workloads=a,b,..] [--threads=N] \
+[--no-cache] [--sample] [--sample-interval=N] [--sample-warmup=N] [--sample-detail=N] [--csv]";
+
+/// Spec flags no experiment binary honours: each picks its own machines,
+/// core counts, co-runs and instrumentation.
+const NOT_EXP_FLAGS: [&str; 5] = [
+    "--machines",
+    "--cores",
+    "--corun",
+    "--corun-isolated",
+    "--telemetry",
+];
+
+/// Command-line options shared by all experiment binaries: the
+/// [`ExperimentSpec`] their shared flags build, plus the harness-local
+/// `--csv` toggle.
 #[derive(Debug, Clone)]
 pub struct ExpArgs {
     /// The experiment specification built from the shared flags.
@@ -35,36 +57,44 @@ pub struct ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parses `std::env::args()` through the shared
-    /// [`ExperimentSpec::apply_arg`] vocabulary plus `--csv`, exiting
-    /// with the structured error and a usage line on bad input.
+    /// Parses `std::env::args()` (see [`ExpArgs::try_from_args`]),
+    /// exiting with the structured error and a usage line on bad input.
     pub fn parse() -> ExpArgs {
         Self::try_from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("{e}");
-            eprintln!("usage: exp_* [--csv] {}", fgstp_sim::spec::SPEC_USAGE);
+            eprintln!("usage: exp_* {EXP_USAGE}");
             std::process::exit(2);
         })
     }
 
-    /// Builds the options from an explicit argument stream; errors carry
-    /// the offending flag and a [`fgstp_sim::SpecErrorKind`].
-    pub fn try_from_args(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<ExpArgs, fgstp_sim::SpecError> {
-        let mut spec = ExperimentSpec::default();
+    /// Builds the options from an explicit argument stream: `--csv`,
+    /// and the rest through [`ExperimentSpec::from_args`]. Errors carry
+    /// the offending flag and a [`SpecErrorKind`]; the spec flags no
+    /// binary honours are [`SpecErrorKind::UnknownFlag`] errors.
+    pub fn try_from_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, SpecError> {
         let mut csv = false;
+        let mut spec_args = Vec::new();
         for a in args {
-            if a == "--csv" {
-                csv = true;
-            } else if !spec.apply_arg(&a)? {
-                return Err(fgstp_sim::SpecError::new(
-                    fgstp_sim::SpecErrorKind::UnknownFlag,
-                    format!("unknown flag `{a}`"),
+            let flag = a.split_once('=').map_or(a.as_str(), |(f, _)| f);
+            if NOT_EXP_FLAGS.contains(&flag) {
+                return Err(SpecError::new(
+                    SpecErrorKind::UnknownFlag,
+                    format!(
+                        "experiment binaries do not take `{flag}`: each picks its own \
+                         machines, core counts, co-runs and instrumentation"
+                    ),
                 ));
             }
+            if a == "--csv" {
+                csv = true;
+            } else {
+                spec_args.push(a);
+            }
         }
-        spec.validate()?;
-        Ok(ExpArgs { spec, csv })
+        Ok(ExpArgs {
+            spec: ExperimentSpec::from_args(&spec_args)?,
+            csv,
+        })
     }
 
     /// Workload scale (shorthand for `self.spec.scale`).
@@ -172,9 +202,35 @@ mod tests {
         assert_eq!(args.spec.threads, Some(2));
         // Spec errors surface as structured values, not process exits.
         let e = ExpArgs::try_from_args(["--threads=lots".to_owned()]).unwrap_err();
-        assert_eq!(e.kind, fgstp_sim::SpecErrorKind::Value);
+        assert_eq!(e.kind, SpecErrorKind::Value);
         let e = ExpArgs::try_from_args(["--bogus".to_owned()]).unwrap_err();
-        assert_eq!(e.kind, fgstp_sim::SpecErrorKind::UnknownFlag);
+        assert_eq!(e.kind, SpecErrorKind::UnknownFlag);
+    }
+
+    #[test]
+    fn flags_no_binary_honours_are_rejected_by_name() {
+        for arg in [
+            "--machines=single-small",
+            "--cores=3",
+            "--corun=perl_hash:2",
+            "--corun-isolated",
+            "--telemetry",
+        ] {
+            let e = ExpArgs::try_from_args(["test".to_owned(), arg.to_owned()]).unwrap_err();
+            assert_eq!(e.kind, SpecErrorKind::UnknownFlag, "{arg}");
+            let flag = arg.split('=').next().unwrap();
+            assert!(e.message.contains(&format!("`{flag}`")), "{arg}: {e}");
+        }
+        // The flags the binaries do honour still parse.
+        let args = args_of(&[
+            "test",
+            "--workloads=perl_hash",
+            "--threads=2",
+            "--no-cache",
+            "--sample",
+            "--csv",
+        ]);
+        assert!(args.csv && args.spec.no_cache && args.spec.sample.is_some());
     }
 
     #[test]

@@ -61,6 +61,7 @@ impl Cli {
             csv: false,
             spec: ExperimentSpec::default(),
         };
+        let mut spec_args = Vec::new();
         for a in args {
             if let Some(v) = a.strip_prefix("--addr=") {
                 cli.addr = v.to_owned();
@@ -81,16 +82,11 @@ impl Cli {
             } else if a == "--csv" {
                 cli.csv = true;
             } else {
-                match cli.spec.apply_arg(a) {
-                    Ok(true) => {}
-                    Ok(false) => usage_exit(&format!("unknown flag `{a}`")),
-                    Err(e) => usage_exit(&e.to_string()),
-                }
+                spec_args.push(a.as_str());
             }
         }
-        if let Err(e) = cli.spec.validate() {
-            usage_exit(&e.to_string());
-        }
+        cli.spec =
+            ExperimentSpec::from_args(&spec_args).unwrap_or_else(|e| usage_exit(&e.to_string()));
         cli
     }
 

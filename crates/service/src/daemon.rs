@@ -16,8 +16,10 @@
 //! can take the service down.
 //!
 //! Determinism: a job runs on a session built from its spec alone —
-//! same scale, machine set, workload filter, sampling — so its rows are
-//! bit-identical to a direct [`ExperimentSpec::run`] in-process, no
+//! same scale, machine set, workload filter, sampling — and streams its
+//! rows in the spec's one workload order
+//! ([`ExperimentSpec::workload_names`]), so its rows are bit-identical
+//! to a direct [`ExperimentSpec::run`] in-process, row for row, no
 //! matter how many clients or workers are active. The daemon pins each
 //! job's session to one thread by default (jobs parallelize *across*
 //! workers instead) unless the spec asks for its own pool.
@@ -29,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 
-use fgstp_sim::ExperimentSpec;
+use fgstp_sim::{ExperimentSpec, Session};
 use fgstp_telemetry::json::Json;
 
 use crate::protocol::{bench_result_row, wire_line, Request};
@@ -45,7 +47,8 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Pending-queue capacity before submissions are refused.
     pub queue_capacity: usize,
-    /// Live-point cache directory override for job sessions.
+    /// Live-point cache directory override for job sessions. A spec
+    /// submitted with `--no-cache` stays uncached.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -152,9 +155,10 @@ fn worker_loop(queue: &JobQueue, cache_dir: Option<&std::path::Path>) {
     }
 }
 
-/// Executes one job workload-by-workload, streaming a row per finished
-/// workload. Returns `Err` on the first workload whose `BenchResult`
-/// carries a tracing error, after pushing that row.
+/// Executes one job workload-by-workload, in the spec's workload order,
+/// streaming a row per finished workload. Returns `Err` on the first
+/// workload whose `BenchResult` carries a tracing error, after pushing
+/// that row.
 fn run_job(
     queue: &JobQueue,
     id: u64,
@@ -169,37 +173,22 @@ fn run_job(
     if let Some(dir) = cache_dir {
         session = session.cache_dir(dir);
     }
-    if spec.corun.is_some() {
-        // A co-run is one deterministic job: the programs couple through
-        // the shared hierarchy, so it cannot stream workload-by-workload.
-        // All rows (one per program) land when the scenario drains.
-        let results = session.run_suite();
-        let mut failure = None;
-        for b in &results {
-            if failure.is_none() {
-                if let Some(e) = &b.error {
-                    failure = Some(format!("workload {}: {e}", b.name));
-                }
-            }
-            queue.push_row(id, bench_result_row(b));
-        }
-        let ss = session.snapshot_stats();
-        queue.add_snapshot_stats(ss.hits, ss.misses, ss.warmed_insts);
-        return match failure {
-            None => Ok(()),
-            Some(e) => Err(e),
-        };
-    }
+    // A co-run is one deterministic job: the programs couple through the
+    // shared hierarchy, so its rows (one per program) land together when
+    // the scenario drains. Any other job runs one workload at a time.
+    let parts: Vec<Session> = match spec.corun {
+        Some(_) => vec![session.clone()],
+        None => (spec.workload_names().into_iter())
+            .map(|name| session.clone().workloads([name]))
+            .collect(),
+    };
     let mut failure = None;
-    for name in spec.workload_names() {
-        let results = session.plan().workload_names(&[name.as_str()]).execute();
-        for b in &results {
-            if failure.is_none() {
-                if let Some(e) = &b.error {
-                    failure = Some(format!("workload {name}: {e}"));
-                }
+    for part in parts {
+        for b in part.run_suite() {
+            if let (None, Some(e)) = (&failure, &b.error) {
+                failure = Some(format!("workload {}: {e}", b.name));
             }
-            queue.push_row(id, bench_result_row(b));
+            queue.push_row(id, bench_result_row(&b));
         }
         if failure.is_some() {
             break;
@@ -207,10 +196,7 @@ fn run_job(
     }
     let ss = session.snapshot_stats();
     queue.add_snapshot_stats(ss.hits, ss.misses, ss.warmed_insts);
-    match failure {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
+    failure.map_or(Ok(()), Err)
 }
 
 /// Best-effort text of a panic payload.

@@ -3,15 +3,18 @@
 //! The batch-simulation service of the Fg-STP reproduction: `fgstpd`, a
 //! dependency-free daemon that accepts [`ExperimentSpec`] jobs over a
 //! newline-delimited JSON protocol on a loopback TCP socket, and
-//! `fgstp`, its command-line client.
+//! `fgstp`, its command-line client. A spec is sent as its flags
+//! ([`ExperimentSpec::to_args`]), the same flags the command line takes.
 //!
 //! The daemon exists for one workflow: sweeping many experiment
 //! configurations without paying process startup per run. Jobs land in
 //! a FIFO [`queue::JobQueue`] with submission-time validation, dedup on
-//! [`ExperimentSpec::dedup_key`] (a resubmitted configuration is served
-//! from the first job's rows), bounded backpressure, and a pool of
-//! panic-isolated workers executing each job workload-by-workload so
-//! result rows stream to waiting clients as they finish.
+//! [`ExperimentSpec::dedup_key`] (the normalized flag list: a
+//! resubmitted configuration is served from the first job's rows),
+//! bounded backpressure, and a pool of panic-isolated workers executing
+//! each job workload-by-workload so result rows stream to waiting
+//! clients as they finish — in the spec's one workload order, the order
+//! a local [`ExperimentSpec::run`] returns them in.
 //!
 //! Layering:
 //!

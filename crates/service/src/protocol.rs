@@ -8,6 +8,13 @@
 //! as it lands and closes the stream of events with an
 //! `{"event": "end", ...}` line carrying the job's terminal state.
 //!
+//! A `submit` request carries its experiment as flags: `{"cmd":
+//! "submit", "args": ["test", "--machines=single-small", ...]}`, the
+//! canonical list of [`ExperimentSpec::to_args`] (any flag list
+//! [`ExperimentSpec::from_args`] accepts will do). The daemon parses it
+//! exactly as the command line does, so a spec means the same thing on
+//! both sides of the socket.
+//!
 //! Errors are structured, never free text: `{"ok": false, "error":
 //! {"kind": ..., "message": ...}}`, where `kind` is either a
 //! [`SpecErrorKind`](fgstp_sim::SpecErrorKind) label
@@ -148,11 +155,19 @@ impl Request {
         let flag = |name: &str| -> bool { matches!(v.get(name), Some(Json::Bool(true))) };
         match cmd {
             "submit" => {
-                let spec = v.get("spec").ok_or_else(|| {
-                    ProtocolError::new(ERR_BAD_REQUEST, "submit needs a `spec` object")
-                })?;
-                let spec = ExperimentSpec::from_json(spec)?;
-                Ok(Request::Submit { spec })
+                let args: Vec<&str> = v
+                    .get("args")
+                    .and_then(Json::as_arr)
+                    .and_then(|a| a.iter().map(Json::as_str).collect())
+                    .ok_or_else(|| {
+                        ProtocolError::new(
+                            ERR_BAD_REQUEST,
+                            "submit needs an `args` array of strings",
+                        )
+                    })?;
+                Ok(Request::Submit {
+                    spec: ExperimentSpec::from_args(&args)?,
+                })
             }
             "status" => Ok(Request::Status { job: job_of(v)? }),
             "results" => {
@@ -180,7 +195,10 @@ impl Request {
         match self {
             Request::Submit { spec } => Json::Obj(vec![
                 ("cmd".to_owned(), Json::Str("submit".to_owned())),
-                ("spec".to_owned(), spec.to_json()),
+                (
+                    "args".to_owned(),
+                    Json::Arr(spec.to_args().into_iter().map(Json::Str).collect()),
+                ),
             ]),
             Request::Status { job } => {
                 let mut m = vec![("cmd".to_owned(), Json::Str("status".to_owned()))];
@@ -314,6 +332,17 @@ mod tests {
             Request::Submit {
                 spec: ExperimentSpec::default(),
             },
+            Request::Submit {
+                spec: ExperimentSpec::from_args(&[
+                    "test",
+                    "--machines=fgstp-small",
+                    "--corun=rv:crc32:2,perl_hash",
+                    "--corun-isolated",
+                    "--sample",
+                    "--threads=3",
+                ])
+                .unwrap(),
+            },
             Request::Status { job: None },
             Request::Status { job: Some(7) },
             Request::Results { job: 3, wait: true },
@@ -342,10 +371,31 @@ mod tests {
         assert_eq!(e.kind, ERR_BAD_REQUEST);
         let e = Request::parse_line(r#"{"cmd": "results"}"#).unwrap_err();
         assert_eq!(e.kind, ERR_BAD_REQUEST);
-        // A bad spec carries its SpecErrorKind label across the boundary.
-        let e = Request::parse_line(r#"{"cmd": "submit", "spec": {"workloads": ["nope"]}}"#)
-            .unwrap_err();
-        assert_eq!(e.kind, SpecErrorKind::UnknownWorkload.label());
+        // A submit without an array of strings is a bad request.
+        for line in [
+            r#"{"cmd": "submit"}"#,
+            r#"{"cmd": "submit", "args": "test"}"#,
+            r#"{"cmd": "submit", "args": ["test", 4]}"#,
+        ] {
+            assert_eq!(Request::parse_line(line).unwrap_err().kind, ERR_BAD_REQUEST);
+        }
+        // A bad flag carries its SpecErrorKind label across the boundary.
+        for (line, kind) in [
+            (
+                r#"{"cmd": "submit", "args": ["--workloads=nope"]}"#,
+                SpecErrorKind::UnknownWorkload,
+            ),
+            (
+                r#"{"cmd": "submit", "args": ["--scael=test"]}"#,
+                SpecErrorKind::UnknownFlag,
+            ),
+            (
+                r#"{"cmd": "submit", "args": ["--cores=lots"]}"#,
+                SpecErrorKind::Value,
+            ),
+        ] {
+            assert_eq!(Request::parse_line(line).unwrap_err().kind, kind.label());
+        }
     }
 
     #[test]

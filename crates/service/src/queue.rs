@@ -9,11 +9,14 @@
 //! notify the same condvar, and every waiter re-checks its own
 //! predicate.
 //!
-//! Deduplication is keyed on [`ExperimentSpec::dedup_key`]: a resubmitted
-//! spec whose key matches a live (queued, running, or completed) job
-//! returns that job's id instead of enqueueing a copy, so duplicate
-//! experiments are served from the first job's cached rows. A *failed*
-//! job does not capture its key — resubmitting after a failure retries.
+//! Deduplication is keyed on [`ExperimentSpec::dedup_key`], the spec's
+//! normalized flag list: a resubmitted spec whose key matches a live
+//! (queued, running, or completed) job returns that job's id instead of
+//! enqueueing a copy, so duplicate experiments are served from the first
+//! job's cached rows. A job expects one row per entry of
+//! [`ExperimentSpec::workload_names`], the order its rows stream in. A
+//! *failed* job does not capture its key — resubmitting after a failure
+//! retries.
 //!
 //! Backpressure is a hard cap on the pending queue
 //! ([`JobQueue::with_capacity`]): submissions beyond it are refused with

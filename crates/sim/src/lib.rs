@@ -32,10 +32,14 @@
 //! ```
 //!
 //! The [`ExperimentSpec`] type names a whole experiment (workloads ×
-//! machines × scale × sampling × telemetry) as one validated,
-//! JSON-serializable value, and converts to a configured session; it is
-//! the shared currency of the experiment binaries, the `fgstpsim` CLI,
-//! and the `fgstpd` batch daemon:
+//! machines × scale × sampling × telemetry) as one validated value, and
+//! a `Session` is the thing that runs one; it is the shared currency of
+//! the experiment binaries, the `fgstpsim` CLI, and the `fgstpd` batch
+//! daemon. A spec travels as its flags ([`ExperimentSpec::to_args`] is
+//! the canonical list [`ExperimentSpec::from_args`] reads back), the
+//! daemon's dedup key is the normalized flag list, and a spec runs its
+//! workloads in one order everywhere
+//! ([`ExperimentSpec::workload_names`]):
 //!
 //! ```no_run
 //! use fgstp_sim::ExperimentSpec;
@@ -49,9 +53,8 @@
 //! # let _ = results;
 //! ```
 //!
-//! The per-trace primitives ([`run_on`], [`runner::trace_workload`]) and
-//! the historical [`run_suite`] free function remain available; the latter
-//! is a thin shim over a default `Session`. Table rendering for the
+//! The per-trace primitives ([`run_on`], [`runner::trace_workload`])
+//! remain available for custom sweeps. Table rendering for the
 //! experiment harness lives in [`report`].
 
 pub mod cli;
@@ -70,7 +73,7 @@ pub use presets::MachineKind;
 pub use report::{cpi_stack_table, speedup_table, SpeedupSummary, Table};
 pub use runner::{
     geomean, run_on, run_on_corun, run_on_instrumented, run_on_instrumented_with_cores,
-    run_on_sampled, run_on_with_cores, run_suite, BenchResult, CoRunInfo, MachineRun,
+    run_on_sampled, run_on_with_cores, BenchResult, CoRunInfo, MachineRun,
 };
 pub use session::{CacheStats, RunPlan, Session, SnapshotStats};
 pub use spec::{CoRunProgramSpec, CoRunSpec, ExperimentSpec, SpecError, SpecErrorKind};

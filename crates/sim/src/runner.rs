@@ -3,9 +3,7 @@
 //! The primary driver API is [`crate::Session`] — it owns tracing, the
 //! on-disk live-point cache and the worker pool. This module keeps the
 //! per-trace primitives the session is built from ([`run_on`],
-//! [`trace_workload`]) plus the result types, and retains the historical
-//! free functions ([`run_suite`]) as thin compatibility shims over a
-//! default session.
+//! [`trace_workload`]) plus the result types.
 
 use fgstp::{run_corun, run_fgstp_warm, CoRunContention, CoRunPlan, CoRunProgram, FgstpStats};
 use fgstp_isa::{DynInst, Trace};
@@ -16,7 +14,6 @@ use fgstp_telemetry::{CpiSink, CpiStack, CycleSink, Episode, NullSink};
 use fgstp_workloads::{Scale, Workload};
 
 use crate::presets::MachineKind;
-use crate::session::Session;
 
 /// Where one program sat inside a co-run (see [`run_on_corun`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +45,10 @@ pub struct MachineRun {
     pub fgstp: Option<FgstpStats>,
     /// Aggregate CPI stack (all cores merged), when the run was
     /// instrumented (see [`run_on_instrumented`] and
-    /// [`Session::telemetry`]).
+    /// [`crate::Session::telemetry`]).
     pub cpi: Option<CpiStack>,
     /// The sampled-simulation record, when the run came from
-    /// [`run_on_sampled`] (or [`Session::sample`]): interval schedule, CPI
+    /// [`run_on_sampled`] (or [`crate::Session::sample`]): interval schedule, CPI
     /// estimate with its 95% confidence interval, and detail-reduction
     /// accounting. `result` then carries *projected* totals.
     pub sampled: Option<SampledRun>,
@@ -478,18 +475,6 @@ pub fn trace_workload(w: &Workload, scale: Scale) -> fgstp_isa::Trace {
 pub fn try_trace_workload(w: &Workload, scale: Scale) -> Result<fgstp_isa::Trace, String> {
     w.try_trace(scale.trace_budget())
         .map_err(|e| format!("workload {} failed to trace: {e}", w.name))
-}
-
-/// Runs the whole suite at `scale` on each machine in `kinds`.
-///
-/// Compatibility shim: delegates to a default [`Session`] (all cores,
-/// live-point cache on). Prefer building a `Session` directly for explicit
-/// control of threads and caching.
-pub fn run_suite(scale: Scale, kinds: &[MachineKind]) -> Vec<BenchResult> {
-    Session::new()
-        .scale(scale)
-        .machines(kinds.iter().copied())
-        .run_suite()
 }
 
 /// Geometric mean of a slice of positive values (0 for an empty slice).

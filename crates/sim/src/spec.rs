@@ -3,22 +3,21 @@
 //! An [`ExperimentSpec`] names everything one experiment run needs —
 //! workload subset, machine set, scale, optional Fg-STP core-count
 //! override, sampling regime, telemetry, and execution knobs — in one
-//! validated, JSON-serializable value. The same spec drives every
-//! frontend:
+//! validated value. It is the only description of an experiment: a
+//! [`Session`] runs one, and every frontend builds one from the same
+//! flags:
 //!
-//! * the experiment binaries (`crates/bench`) parse their shared flags
-//!   into a spec via [`ExperimentSpec::apply_arg`];
-//! * the `fgstp` CLI client parses the identical flags and either runs
-//!   the spec locally ([`ExperimentSpec::run`]) or submits it to a
-//!   daemon;
-//! * the `fgstpd` batch-simulation daemon receives specs as JSON
-//!   ([`ExperimentSpec::from_json`]), dedups them on
-//!   [`ExperimentSpec::dedup_key`], and executes them on a [`Session`].
+//! * the experiment binaries (`crates/bench`) and the `fgstp` CLI client
+//!   parse their flags with [`ExperimentSpec::from_args`];
+//! * the client runs the spec locally ([`ExperimentSpec::run`]) or sends
+//!   it to the `fgstpd` daemon as its flags ([`ExperimentSpec::to_args`],
+//!   the canonical flag list `from_args` reads back);
+//! * the daemon dedups specs on [`ExperimentSpec::dedup_key`], the
+//!   normalized flag list, and executes them on a [`Session`].
 //!
-//! Conversion to the driver layer is [`ExperimentSpec::session`]: the
-//! returned [`Session`] carries the spec's workload filter, machine set
-//! and knobs, so `spec.session().plan()` *is* the spec-to-[`RunPlan`]
-//! conversion and `spec.run()` executes it.
+//! A spec runs its workloads in one order everywhere:
+//! [`ExperimentSpec::workload_names`] decides it, and the session, the
+//! daemon's row stream and the dedup key all follow it.
 //!
 //! Validation is structural and total: [`ExperimentSpec::validate`]
 //! rejects unknown workload or machine names, zero core/thread counts,
@@ -28,22 +27,19 @@
 //! error's [`SpecErrorKind`] crosses the daemon protocol as a stable
 //! string.
 
+use std::sync::OnceLock;
+
 use fgstp_sampling::SampleConfig;
-use fgstp_telemetry::json::Json;
-use fgstp_workloads::{by_name, suite, Scale};
+use fgstp_workloads::{suite, Scale};
 
 use crate::presets::MachineKind;
 use crate::runner::BenchResult;
-#[allow(unused_imports)] // doc link
-use crate::session::RunPlan;
 use crate::session::Session;
 
 /// What made a spec invalid; [`SpecErrorKind::label`] is the stable
 /// protocol string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecErrorKind {
-    /// Malformed JSON, or a JSON document of the wrong shape.
-    Json,
     /// A workload name not in the suite.
     UnknownWorkload,
     /// A machine label or machine-set name no preset matches.
@@ -62,7 +58,6 @@ impl SpecErrorKind {
     /// Stable kebab-case identifier, used on the wire by `fgstpd`.
     pub fn label(self) -> &'static str {
         match self {
-            SpecErrorKind::Json => "bad-json",
             SpecErrorKind::UnknownWorkload => "unknown-workload",
             SpecErrorKind::UnknownMachine => "unknown-machine",
             SpecErrorKind::UnknownScale => "unknown-scale",
@@ -100,6 +95,21 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// The main suite's workload names, in suite order. Names do not depend
+/// on the scale, and building a suite assembles every program, so the
+/// list is built once.
+fn suite_names() -> &'static [&'static str] {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    NAMES.get_or_init(|| suite(Scale::Test).iter().map(|w| w.name).collect())
+}
+
+/// Every name [`fgstp_workloads::by_name`] resolves, built once like
+/// [`suite_names`].
+fn known_names() -> &'static [&'static str] {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    NAMES.get_or_init(fgstp_workloads::all_names)
+}
 
 /// The filename- and protocol-safe word for a scale.
 pub fn scale_word(scale: Scale) -> &'static str {
@@ -258,7 +268,7 @@ impl Default for ExperimentSpec {
     }
 }
 
-/// The flag vocabulary accepted by [`ExperimentSpec::apply_arg`], for
+/// The flag vocabulary accepted by [`ExperimentSpec::from_args`], for
 /// usage messages.
 pub const SPEC_USAGE: &str = "[test|small|reference] [--workloads=a,b,..] \
 [--machines=small-cmp|medium-cmp|all|scaling|<label,..>] [--cores=N] \
@@ -267,11 +277,10 @@ pub const SPEC_USAGE: &str = "[test|small|reference] [--workloads=a,b,..] \
 [--corun=wl[:cores],..] [--corun-isolated]";
 
 impl ExperimentSpec {
-    /// Applies one CLI argument to the spec. Returns `Ok(true)` when the
-    /// argument was consumed, `Ok(false)` when it is not part of the
-    /// spec vocabulary (so callers can layer their own flags, e.g.
-    /// `--csv`), and an error when it *is* a spec flag with a bad value.
-    pub fn apply_arg(&mut self, arg: &str) -> Result<bool, SpecError> {
+    /// Applies one CLI argument to the spec. Returns `Ok(false)` when the
+    /// argument is not part of the spec vocabulary, and an error when it
+    /// *is* a spec flag with a bad value.
+    fn apply_arg(&mut self, arg: &str) -> Result<bool, SpecError> {
         match arg {
             "test" | "small" | "reference" => {
                 self.scale = parse_scale(arg)?;
@@ -356,10 +365,63 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
+    /// The canonical flag list of this spec: [`ExperimentSpec::from_args`]
+    /// reads it back to an equal spec. The scale and machine set are
+    /// always spelled out, every other field only when it is set.
+    pub fn to_args(&self) -> Vec<String> {
+        let labels: Vec<&str> = self.machines.iter().map(|k| k.label()).collect();
+        let mut args = vec![
+            scale_word(self.scale).to_owned(),
+            format!("--machines={}", labels.join(",")),
+        ];
+        if !self.workloads.is_empty() {
+            args.push(format!("--workloads={}", self.workloads.join(",")));
+        }
+        if let Some(n) = self.cores {
+            args.push(format!("--cores={n}"));
+        }
+        if let Some(n) = self.threads {
+            args.push(format!("--threads={n}"));
+        }
+        if self.no_cache {
+            args.push("--no-cache".to_owned());
+        }
+        if self.telemetry {
+            args.push("--telemetry".to_owned());
+        }
+        if let Some(s) = &self.sample {
+            args.push(format!("--sample-interval={}", s.interval));
+            args.push(format!("--sample-warmup={}", s.warmup));
+            args.push(format!("--sample-detail={}", s.detail));
+        }
+        if let Some(c) = &self.corun {
+            let programs: Vec<String> = c
+                .programs
+                .iter()
+                .map(|p| format!("{}:{}", p.workload, p.cores))
+                .collect();
+            args.push(format!("--corun={}", programs.join(",")));
+            if c.isolated {
+                args.push("--corun-isolated".to_owned());
+            }
+        }
+        args
+    }
+
     /// Checks the spec is satisfiable; see the [module docs](self) for
-    /// the full rule list. All frontends call this before executing or
-    /// enqueueing, so an invalid spec can never reach a worker pool.
+    /// the full rule list. Every frontend and every [`Session`] run entry
+    /// point calls this before executing or enqueueing, so an invalid
+    /// spec can never reach a worker pool.
     pub fn validate(&self) -> Result<(), SpecError> {
+        let unknown = |what: &str, name: &str| {
+            SpecError::new(
+                SpecErrorKind::UnknownWorkload,
+                format!(
+                    "unknown {what} `{name}` (one of: {})",
+                    known_names().join(", ")
+                ),
+            )
+        };
         if self.machines.is_empty() {
             return Err(SpecError::new(
                 SpecErrorKind::UnknownMachine,
@@ -367,14 +429,8 @@ impl ExperimentSpec {
             ));
         }
         for name in &self.workloads {
-            if by_name(name, Scale::Test).is_none() {
-                return Err(SpecError::new(
-                    SpecErrorKind::UnknownWorkload,
-                    format!(
-                        "unknown workload `{name}` (one of: {})",
-                        fgstp_workloads::all_names().join(", ")
-                    ),
-                ));
+            if !known_names().contains(&name.as_str()) {
+                return Err(unknown("workload", name));
             }
         }
         if let Some(n) = self.cores {
@@ -463,15 +519,8 @@ impl ExperimentSpec {
                 ));
             }
             for p in &c.programs {
-                if by_name(&p.workload, Scale::Test).is_none() {
-                    return Err(SpecError::new(
-                        SpecErrorKind::UnknownWorkload,
-                        format!(
-                            "unknown co-run workload `{}` (one of: {})",
-                            p.workload,
-                            fgstp_workloads::all_names().join(", ")
-                        ),
-                    ));
+                if !known_names().contains(&p.workload.as_str()) {
+                    return Err(unknown("co-run workload", &p.workload));
                 }
                 if p.cores == 0 {
                     return Err(SpecError::new(
@@ -490,297 +539,64 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// The workload names this spec runs — one per co-run program (in
-    /// plan order, duplicates kept: each program produces its own result
-    /// row), else the explicit subset, else the whole suite, both in
-    /// suite order.
+    /// The workloads this spec runs, in the one order every frontend
+    /// uses — the session's runs, the daemon's row stream, a job's
+    /// expected rows and the dedup key. A co-run runs its programs in
+    /// plan order, duplicates kept (each program produces its own result
+    /// row). Otherwise the suite members among the named workloads come
+    /// first, in suite order (all of them when none are named), then the
+    /// names from outside the main suite (`*_long`, `rv:*`) as given;
+    /// a repeated name runs once.
     pub fn workload_names(&self) -> Vec<String> {
         if let Some(c) = &self.corun {
             return c.programs.iter().map(|p| p.workload.clone()).collect();
         }
-        if self.workloads.is_empty() {
-            suite(Scale::Test)
-                .iter()
-                .map(|w| w.name.to_owned())
-                .collect()
-        } else {
-            self.workloads.clone()
+        let named = |n: &str| self.workloads.is_empty() || self.workloads.iter().any(|w| w == n);
+        let mut names: Vec<String> = suite_names()
+            .iter()
+            .filter(|n| named(n))
+            .map(|n| (*n).to_owned())
+            .collect();
+        for n in &self.workloads {
+            if !names.contains(n) {
+                names.push(n.clone());
+            }
         }
+        names
     }
 
-    /// A [`Session`] configured from this spec: scale, machine set,
-    /// workload filter, core override, threads, caching, telemetry and
-    /// sampling. `spec.session().plan()` is the spec-to-[`RunPlan`]
-    /// conversion.
+    /// A [`Session`] that runs this spec.
     pub fn session(&self) -> Session {
-        let mut s = Session::new()
-            .scale(self.scale)
-            .machines(self.machines.iter().copied())
-            .telemetry(self.telemetry);
-        if !self.workloads.is_empty() {
-            s = s.workloads(self.workloads.iter().cloned());
-        }
-        if let Some(n) = self.cores {
-            s = s.cores(n);
-        }
-        if let Some(n) = self.threads {
-            s = s.threads(n);
-        }
-        if self.no_cache {
-            s = s.no_cache();
-        }
-        if let Some(scfg) = self.sample {
-            s = s.sample(scfg);
-        }
-        if let Some(c) = &self.corun {
-            s = s.corun(c.clone());
-        }
-        s
+        Session::with_spec(self.clone())
     }
 
     /// Validates and runs the spec to completion on a fresh session.
     pub fn run(&self) -> Result<Vec<BenchResult>, SpecError> {
-        self.validate()?;
-        Ok(self.session().run_suite())
-    }
-
-    /// Serializes to the canonical JSON shape ([`ExperimentSpec::from_json`]
-    /// round-trips it).
-    pub fn to_json(&self) -> Json {
-        let opt_num = |v: Option<usize>| match v {
-            Some(n) => Json::Num(n as f64),
-            None => Json::Null,
-        };
-        let sample = match &self.sample {
-            Some(s) => Json::Obj(vec![
-                ("interval".to_owned(), Json::Num(s.interval as f64)),
-                ("warmup".to_owned(), Json::Num(s.warmup as f64)),
-                ("detail".to_owned(), Json::Num(s.detail as f64)),
-            ]),
-            None => Json::Null,
-        };
-        let corun = match &self.corun {
-            Some(c) => Json::Obj(vec![
-                (
-                    "programs".to_owned(),
-                    Json::Arr(
-                        c.programs
-                            .iter()
-                            .map(|p| {
-                                Json::Obj(vec![
-                                    ("workload".to_owned(), Json::Str(p.workload.clone())),
-                                    ("cores".to_owned(), Json::Num(p.cores as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("isolated".to_owned(), Json::Bool(c.isolated)),
-            ]),
-            None => Json::Null,
-        };
-        Json::Obj(vec![
-            (
-                "scale".to_owned(),
-                Json::Str(scale_word(self.scale).to_owned()),
-            ),
-            (
-                "machines".to_owned(),
-                Json::Arr(
-                    self.machines
-                        .iter()
-                        .map(|k| Json::Str(k.label().to_owned()))
-                        .collect(),
-                ),
-            ),
-            (
-                "workloads".to_owned(),
-                Json::Arr(
-                    self.workloads
-                        .iter()
-                        .map(|w| Json::Str(w.clone()))
-                        .collect(),
-                ),
-            ),
-            ("cores".to_owned(), opt_num(self.cores)),
-            ("threads".to_owned(), opt_num(self.threads)),
-            ("no_cache".to_owned(), Json::Bool(self.no_cache)),
-            ("telemetry".to_owned(), Json::Bool(self.telemetry)),
-            ("sample".to_owned(), sample),
-            ("corun".to_owned(), corun),
-        ])
-    }
-
-    /// Deserializes and validates a spec from its JSON shape. Missing
-    /// fields take their defaults; unknown fields are an error (a
-    /// misspelled knob silently ignored would run the wrong experiment).
-    pub fn from_json(v: &Json) -> Result<ExperimentSpec, SpecError> {
-        let bad = |msg: String| SpecError::new(SpecErrorKind::Json, msg);
-        let Json::Obj(members) = v else {
-            return Err(bad("spec must be a JSON object".to_owned()));
-        };
-        let mut spec = ExperimentSpec::default();
-        let as_count = |v: &Json, what: &str| -> Result<u64, SpecError> {
-            match v.as_f64() {
-                Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
-                _ => Err(bad(format!("spec field `{what}` must be a whole number"))),
-            }
-        };
-        for (key, value) in members {
-            match key.as_str() {
-                "scale" => {
-                    let w = value
-                        .as_str()
-                        .ok_or_else(|| bad("spec field `scale` must be a string".to_owned()))?;
-                    spec.scale = parse_scale(w)?;
-                }
-                "machines" => {
-                    let arr = value
-                        .as_arr()
-                        .ok_or_else(|| bad("spec field `machines` must be an array".to_owned()))?;
-                    spec.machines = arr
-                        .iter()
-                        .map(|m| {
-                            m.as_str()
-                                .ok_or_else(|| bad("machine labels must be strings".to_owned()))
-                                .and_then(parse_machine)
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "workloads" => {
-                    let arr = value
-                        .as_arr()
-                        .ok_or_else(|| bad("spec field `workloads` must be an array".to_owned()))?;
-                    spec.workloads = arr
-                        .iter()
-                        .map(|w| {
-                            w.as_str()
-                                .map(str::to_owned)
-                                .ok_or_else(|| bad("workload names must be strings".to_owned()))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "cores" => {
-                    spec.cores = match value {
-                        Json::Null => None,
-                        v => Some(as_count(v, "cores")? as usize),
-                    };
-                }
-                "threads" => {
-                    spec.threads = match value {
-                        Json::Null => None,
-                        v => Some(as_count(v, "threads")? as usize),
-                    };
-                }
-                "no_cache" => {
-                    spec.no_cache = match value {
-                        Json::Bool(b) => *b,
-                        _ => return Err(bad("spec field `no_cache` must be a bool".to_owned())),
-                    };
-                }
-                "telemetry" => {
-                    spec.telemetry = match value {
-                        Json::Bool(b) => *b,
-                        _ => return Err(bad("spec field `telemetry` must be a bool".to_owned())),
-                    };
-                }
-                "sample" => {
-                    spec.sample = match value {
-                        Json::Null => None,
-                        v => Some(SampleConfig {
-                            interval: as_count(
-                                v.get("interval").unwrap_or(&Json::Null),
-                                "sample.interval",
-                            )?,
-                            warmup: as_count(
-                                v.get("warmup").unwrap_or(&Json::Null),
-                                "sample.warmup",
-                            )?,
-                            detail: as_count(
-                                v.get("detail").unwrap_or(&Json::Null),
-                                "sample.detail",
-                            )?,
-                        }),
-                    };
-                }
-                "corun" => {
-                    spec.corun = match value {
-                        Json::Null => None,
-                        v => {
-                            let progs =
-                                v.get("programs").and_then(Json::as_arr).ok_or_else(|| {
-                                    bad("spec field `corun.programs` must be an array".to_owned())
-                                })?;
-                            let programs = progs
-                                .iter()
-                                .map(|p| {
-                                    let workload = p
-                                        .get("workload")
-                                        .and_then(Json::as_str)
-                                        .ok_or_else(|| {
-                                            bad("co-run programs need a `workload` string"
-                                                .to_owned())
-                                        })?
-                                        .to_owned();
-                                    let cores = as_count(
-                                        p.get("cores").unwrap_or(&Json::Null),
-                                        "corun.programs[].cores",
-                                    )? as usize;
-                                    Ok(CoRunProgramSpec { workload, cores })
-                                })
-                                .collect::<Result<_, SpecError>>()?;
-                            let isolated = match v.get("isolated") {
-                                None | Some(Json::Null) => false,
-                                Some(Json::Bool(b)) => *b,
-                                _ => {
-                                    return Err(bad(
-                                        "spec field `corun.isolated` must be a bool".to_owned()
-                                    ))
-                                }
-                            };
-                            Some(CoRunSpec { programs, isolated })
-                        }
-                    };
-                }
-                other => {
-                    return Err(bad(format!("unknown spec field `{other}`")));
-                }
-            }
-        }
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Parses a spec from JSON text (see [`ExperimentSpec::from_json`]).
-    pub fn parse_json(text: &str) -> Result<ExperimentSpec, SpecError> {
-        let v = Json::parse(text)
-            .map_err(|e| SpecError::new(SpecErrorKind::Json, format!("malformed JSON: {e}")))?;
-        ExperimentSpec::from_json(&v)
+        self.session().try_run_suite()
     }
 
     /// The job-deduplication identity of this spec: two specs with equal
     /// keys produce bit-identical result rows, so a batch service can
     /// serve one from the other's cached results.
     ///
-    /// The key normalizes away pure execution knobs (`threads`,
-    /// `no_cache` — the worker pool and the live-point cache never change
-    /// a figure) and resolves an empty workload list to the concrete
-    /// suite. It carries no format versions: keys are compared only
-    /// within one running process.
+    /// The key is the normalized flag list ([`ExperimentSpec::to_args`])
+    /// joined by spaces. Normalizing drops the pure execution knobs
+    /// (`--threads`, `--no-cache` — the worker pool and the live-point
+    /// cache never change a figure) and resolves the workloads to
+    /// [`ExperimentSpec::workload_names`], so an empty list, the full
+    /// suite spelled out and the same names in another order share a
+    /// key. It carries no format versions: keys are compared only within
+    /// one running process.
     pub fn dedup_key(&self) -> String {
-        let mut normalized = self.clone();
+        let mut normalized = ExperimentSpec {
+            threads: None,
+            no_cache: false,
+            ..self.clone()
+        };
         if self.corun.is_none() {
             normalized.workloads = self.workload_names();
         }
-        let mut body = normalized.to_json();
-        if let Json::Obj(members) = &mut body {
-            members.retain(|(k, _)| k != "threads" && k != "no_cache");
-        }
-        // Render on one line: the key is a map key, not a document.
-        body.render()
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join("")
+        normalized.to_args().join(" ")
     }
 }
 
@@ -792,12 +608,12 @@ mod tests {
     fn default_spec_is_valid_and_round_trips() {
         let spec = ExperimentSpec::default();
         spec.validate().unwrap();
-        let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
+        let back = ExperimentSpec::from_args(&spec.to_args()).unwrap();
         assert_eq!(back, spec);
     }
 
     #[test]
-    fn full_spec_round_trips_through_json_text() {
+    fn full_spec_round_trips_through_its_flags() {
         let spec = ExperimentSpec {
             scale: Scale::Test,
             machines: vec![MachineKind::FgstpSmall4, MachineKind::FgstpSmall],
@@ -810,8 +626,19 @@ mod tests {
             corun: None,
         };
         spec.validate().unwrap();
-        let text = spec.to_json().render();
-        assert_eq!(ExperimentSpec::parse_json(&text).unwrap(), spec);
+        assert_eq!(
+            spec.to_args(),
+            [
+                "test",
+                "--machines=fgstp-small-4,fgstp-small",
+                "--workloads=perl_hash,hmmer_dp",
+                "--cores=3",
+                "--threads=2",
+                "--no-cache",
+                "--telemetry",
+            ]
+        );
+        assert_eq!(ExperimentSpec::from_args(&spec.to_args()).unwrap(), spec);
 
         let sampled = ExperimentSpec {
             cores: None,
@@ -822,12 +649,14 @@ mod tests {
             }),
             ..spec
         };
-        let text = sampled.to_json().render();
-        assert_eq!(ExperimentSpec::parse_json(&text).unwrap(), sampled);
+        assert_eq!(
+            ExperimentSpec::from_args(&sampled.to_args()).unwrap(),
+            sampled
+        );
     }
 
     #[test]
-    fn args_build_the_same_spec_as_json() {
+    fn args_build_every_field_of_the_spec() {
         let spec = ExperimentSpec::from_args(&[
             "test",
             "--workloads=perl_hash,hmmer_dp",
@@ -847,7 +676,164 @@ mod tests {
         assert_eq!(spec.cores, Some(3));
         assert_eq!(spec.threads, Some(2));
         assert!(spec.no_cache && spec.telemetry);
-        assert_eq!(ExperimentSpec::from_json(&spec.to_json()).unwrap(), spec);
+        assert_eq!(ExperimentSpec::from_args(&spec.to_args()).unwrap(), spec);
+    }
+
+    /// A deterministic random stream (SplitMix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// A random valid spec: a plain machine matrix, an all-Fg-STP matrix
+    /// with a core override, or a co-run, each with random execution
+    /// knobs and (where allowed) a random sampling regime.
+    fn random_spec(rng: &mut Rng) -> ExperimentSpec {
+        let names = known_names();
+        let fgstp: Vec<MachineKind> = MachineKind::WITH_SCALING
+            .into_iter()
+            .filter(|k| k.is_fgstp())
+            .collect();
+        let mut spec = ExperimentSpec {
+            scale: rng.pick(&[Scale::Test, Scale::Small, Scale::Reference]),
+            threads: rng.coin().then(|| 1 + rng.below(16)),
+            no_cache: rng.coin(),
+            sample: rng.coin().then(|| {
+                let interval = 1 + rng.below(100_000) as u64;
+                let detail = 1 + rng.below(interval as usize) as u64;
+                let warmup = rng.below((interval - detail + 1) as usize) as u64;
+                SampleConfig {
+                    interval,
+                    warmup,
+                    detail,
+                }
+            }),
+            ..ExperimentSpec::default()
+        };
+        let workloads = |rng: &mut Rng| -> Vec<String> {
+            (0..rng.below(5))
+                .map(|_| rng.pick(names).to_owned())
+                .collect()
+        };
+        match rng.below(3) {
+            0 => {
+                spec.machines = (0..1 + rng.below(4))
+                    .map(|_| rng.pick(&MachineKind::WITH_SCALING))
+                    .collect();
+                spec.workloads = workloads(rng);
+                spec.telemetry = rng.coin();
+            }
+            1 => {
+                spec.machines = (0..1 + rng.below(3)).map(|_| rng.pick(&fgstp)).collect();
+                spec.workloads = workloads(rng);
+                spec.cores = Some(1 + rng.below(8));
+                spec.telemetry = rng.coin();
+                spec.sample = None;
+            }
+            _ => {
+                spec.machines = vec![rng.pick(&fgstp)];
+                let programs = (0..1 + rng.below(4))
+                    .map(|_| CoRunProgramSpec {
+                        workload: rng.pick(names).to_owned(),
+                        cores: 1 + rng.below(4),
+                    })
+                    .collect();
+                spec.corun = Some(CoRunSpec {
+                    programs,
+                    isolated: spec.sample.is_some() || rng.coin(),
+                });
+            }
+        }
+        spec
+    }
+
+    #[test]
+    fn random_specs_round_trip_through_their_flags() {
+        let mut rng = Rng(0x5eed);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..300 {
+            let spec = random_spec(&mut rng);
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{e}: {:?}", spec.to_args()));
+            let back = ExperimentSpec::from_args(&spec.to_args())
+                .unwrap_or_else(|e| panic!("{e}: {:?}", spec.to_args()));
+            assert_eq!(back, spec, "{:?}", spec.to_args());
+            // Record which fields this spec exercised.
+            let fields = [
+                ("scale-small", spec.scale == Scale::Small),
+                ("several-machines", spec.machines.len() > 1),
+                ("workloads", !spec.workloads.is_empty()),
+                (
+                    "rv-workload",
+                    spec.workloads.iter().any(|w| w.starts_with("rv:")),
+                ),
+                (
+                    "long-workload",
+                    spec.workloads.iter().any(|w| w.ends_with("_long")),
+                ),
+                ("cores", spec.cores.is_some()),
+                ("threads", spec.threads.is_some()),
+                ("no-cache", spec.no_cache),
+                ("telemetry", spec.telemetry),
+                ("sample", spec.sample.is_some()),
+                ("corun", spec.corun.as_ref().is_some_and(|c| !c.isolated)),
+                (
+                    "corun-isolated",
+                    spec.corun.as_ref().is_some_and(|c| c.isolated),
+                ),
+                (
+                    "corun-rv",
+                    spec.corun
+                        .as_ref()
+                        .is_some_and(|c| c.programs.iter().any(|p| p.workload.starts_with("rv:"))),
+                ),
+            ];
+            seen.extend(fields.iter().filter(|f| f.1).map(|f| f.0));
+        }
+        assert_eq!(seen.len(), 13, "fields covered: {seen:?}");
+    }
+
+    #[test]
+    fn workload_names_follow_the_suite_then_the_names_given() {
+        let spec = ExperimentSpec::from_args(&[
+            "test",
+            "--workloads=rv:crc32,hmmer_dp,chase_long,perl_hash,hmmer_dp,rv:crc32",
+        ])
+        .unwrap();
+        assert_eq!(
+            spec.workload_names(),
+            ["perl_hash", "hmmer_dp", "rv:crc32", "chase_long"]
+        );
+        let all = ExperimentSpec::default().workload_names();
+        assert_eq!(all.len(), 18);
+        assert_eq!(all[0], "perl_hash");
+        // A co-run keeps its plan order and its repeats.
+        let co = ExperimentSpec::from_args(&[
+            "test",
+            "--machines=fgstp-small",
+            "--corun=hmmer_dp,perl_hash,hmmer_dp",
+        ])
+        .unwrap();
+        assert_eq!(co.workload_names(), ["hmmer_dp", "perl_hash", "hmmer_dp"]);
     }
 
     #[test]
@@ -933,26 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_unknown_fields_and_bad_shapes() {
-        let e = ExperimentSpec::parse_json(r#"{"scael": "test"}"#).unwrap_err();
-        assert_eq!(e.kind, SpecErrorKind::Json);
-        assert!(e.message.contains("scael"), "{e}");
-
-        let e = ExperimentSpec::parse_json(r#"{"scale": 4}"#).unwrap_err();
-        assert_eq!(e.kind, SpecErrorKind::Json);
-
-        let e = ExperimentSpec::parse_json(r#"{"cores": 1.5}"#).unwrap_err();
-        assert_eq!(e.kind, SpecErrorKind::Json);
-
-        let e = ExperimentSpec::parse_json("{not json").unwrap_err();
-        assert_eq!(e.kind, SpecErrorKind::Json);
-
-        // Validation runs on the parsed document too.
-        let e = ExperimentSpec::parse_json(r#"{"workloads": ["nope"]}"#).unwrap_err();
-        assert_eq!(e.kind, SpecErrorKind::UnknownWorkload);
-    }
-
-    #[test]
     fn from_args_rejects_unknown_flags_with_usage() {
         let e = ExperimentSpec::from_args(&["--bogus"]).unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::UnknownFlag);
@@ -996,6 +962,22 @@ mod tests {
         let mut f = a.clone();
         f.workloads = vec!["perl_hash".to_owned()];
         assert_ne!(a.dedup_key(), f.dedup_key());
+
+        // The key is the normalized flag list; the order the workloads
+        // are named in does not change what runs, so it does not change
+        // the key either.
+        let mut g = a.clone();
+        g.machines = vec![MachineKind::SingleSmall];
+        g.workloads = vec!["hmmer_dp".to_owned(), "perl_hash".to_owned()];
+        g.threads = Some(2);
+        assert_eq!(
+            g.dedup_key(),
+            "test --machines=single-small --workloads=perl_hash,hmmer_dp"
+        );
+        let mut h = g.clone();
+        h.workloads.reverse();
+        h.workloads.push("perl_hash".to_owned());
+        assert_eq!(g.dedup_key(), h.dedup_key());
     }
 
     #[test]
@@ -1013,7 +995,7 @@ mod tests {
         assert!(!c.isolated);
         assert_eq!(c.total_cores(), 4);
         assert_eq!(spec.workload_names(), ["perl_hash", "hmmer_dp"]);
-        assert_eq!(ExperimentSpec::from_json(&spec.to_json()).unwrap(), spec);
+        assert_eq!(ExperimentSpec::from_args(&spec.to_args()).unwrap(), spec);
 
         // Flag order does not matter; cores default to 1.
         let iso = ExperimentSpec::from_args(&[
@@ -1027,7 +1009,7 @@ mod tests {
         assert!(c.isolated);
         assert_eq!(c.programs[0].cores, 1);
         assert_eq!(c.programs[1].cores, 3);
-        assert_eq!(ExperimentSpec::from_json(&iso.to_json()).unwrap(), iso);
+        assert_eq!(ExperimentSpec::from_args(&iso.to_args()).unwrap(), iso);
         assert_ne!(spec.dedup_key(), iso.dedup_key());
     }
 

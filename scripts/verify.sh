@@ -196,4 +196,7 @@ echo "== end-to-end benchmark smoke (every workload at test scale)"
 # One pass per workload; exits non-zero when any op fails its golden check.
 cargo run --release -q --manifest-path bench_e2e/Cargo.toml -- --smoke
 
+echo "== end-to-end benchmark unit tests (service pool dedup keys, stats, golden table)"
+cargo test --release -q --manifest-path bench_e2e/Cargo.toml
+
 echo "== verify OK"

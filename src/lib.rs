@@ -67,8 +67,8 @@ pub mod prelude {
     pub use fgstp_ooo::{run_single, CoreConfig};
     pub use fgstp_sampling::{Estimate, SampleConfig, SampledRun};
     pub use fgstp_sim::{
-        geomean, run_on, run_on_instrumented, run_on_sampled, run_suite, ExperimentSpec,
-        MachineKind, RunPlan, Scale, Session, SpecError, SpecErrorKind, Table,
+        geomean, run_on, run_on_instrumented, run_on_sampled, ExperimentSpec, MachineKind, RunPlan,
+        Scale, Session, SpecError, SpecErrorKind, Table,
     };
     pub use fgstp_telemetry::{write_chrome_trace, CpiSink, CpiStack, StallCategory};
     pub use fgstp_workloads::{suite, SuiteClass, Workload};

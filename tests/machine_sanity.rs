@@ -83,37 +83,55 @@ fn fgstp_stats_are_internally_consistent() {
 #[test]
 fn degenerate_one_core_fgstp_matches_the_single_core() {
     // The N-core machine collapsed to one core: no partitioning decisions,
-    // no replication, no communication. Committed counts must match the
-    // plain single-core pipeline exactly. Timing sits inside a small
-    // envelope because the Fg-STP frame keeps the shared-frontend prepass
-    // and the global completion frontier in front of commit; with a single
-    // core both reduce to the local schedule, and the measured skew on the
-    // suite is zero.
+    // no replication, no communication. The shared-frontend prepass and
+    // the global completion frontier reduce to the local schedule, so the
+    // run is the plain single-core pipeline exactly, on every core shape
+    // the presets use: same cycles, same per-core and memory statistics.
     use fg_stp_repro::core::{run_fgstp, FgstpConfig};
-    for name in ["hmmer_dp", "perl_hash", "mcf_pointer"] {
-        let w = by_name(name, Scale::Test).unwrap();
-        let t = trace_workload(&w, Scale::Test);
-        let single = fg_stp_repro::ooo::run_single(
-            t.insts(),
-            &fg_stp_repro::ooo::CoreConfig::small(),
-            &HierarchyConfig::small(1),
-        );
-        let cfg = FgstpConfig::small().with_cores(1);
-        let (r, s) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(1));
-        assert_eq!(r.committed, single.committed, "{name}");
-        assert_eq!(s.comm_total().sends, 0, "{name}: one core never sends");
-        assert_eq!(s.partition.replicated, 0, "{name}");
-        assert_eq!(s.partition.cross_reg_deps, 0, "{name}");
-        // Documented envelope: within 2% of the single-core cycle count
-        // (measured skew is exactly zero on the suite; 2% leaves headroom
-        // against future frontier-bookkeeping changes).
-        let ratio = r.cycles as f64 / single.cycles as f64;
-        assert!(
-            (0.98..=1.02).contains(&ratio),
-            "{name}: 1-core Fg-STP {} vs single {} (ratio {ratio:.4})",
-            r.cycles,
-            single.cycles
-        );
+    use fg_stp_repro::ooo::run_single;
+    let traces: Vec<_> = ["hmmer_dp", "perl_hash", "mcf_pointer"]
+        .into_iter()
+        .map(|name| {
+            (
+                name,
+                trace_workload(&by_name(name, Scale::Test).unwrap(), Scale::Test),
+            )
+        })
+        .collect();
+    for kind in [
+        MachineKind::SingleSmall,
+        MachineKind::SingleMedium,
+        MachineKind::FusedSmall,
+        MachineKind::FusedMedium,
+    ] {
+        let core = kind.core_config();
+        let hcfg = kind.hierarchy_config();
+        let cfg = FgstpConfig {
+            core: core.clone(),
+            ..FgstpConfig::small().with_cores(1)
+        };
+        for (name, t) in &traces {
+            let single = run_single(t.insts(), &core, &hcfg);
+            let (r, s) = run_fgstp(t.insts(), &cfg, &hcfg);
+            assert_eq!(
+                s.comm_total().sends,
+                0,
+                "{kind} {name}: one core never sends"
+            );
+            assert_eq!(s.partition.replicated, 0, "{kind} {name}");
+            assert_eq!(s.partition.cross_reg_deps, 0, "{kind} {name}");
+            assert_eq!(r.cycles, single.cycles, "{kind} {name}");
+            assert_eq!(r.committed, single.committed, "{kind} {name}");
+            assert_eq!(r.branches, single.branches, "{kind} {name}");
+            assert_eq!(r.cores, single.cores, "{kind} {name}");
+            // HierarchyStats has no PartialEq; its Debug form shows
+            // every counter.
+            assert_eq!(
+                format!("{:?}", r.mem),
+                format!("{:?}", single.mem),
+                "{kind} {name}"
+            );
+        }
     }
 }
 

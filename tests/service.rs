@@ -1,7 +1,8 @@
 //! End-to-end tests of the `fgstpd` batch-simulation service: protocol
 //! round-trips, dedup against the spec's dedup key, concurrent
-//! clients receiving rows bit-identical to direct `Session` runs,
-//! structured rejection of malformed and unsatisfiable specs, and
+//! clients receiving rows bit-identical to direct `Session` runs, in the
+//! same order, structured rejection of malformed and unsatisfiable
+//! specs, the `--no-cache` switch under a daemon cache directory, and
 //! graceful drain shutdown with a non-empty queue.
 //!
 //! Every test boots its own in-process daemon on a fresh loopback port
@@ -55,11 +56,8 @@ fn spec_survives_the_wire_and_rows_match_a_direct_session_run() {
         "--no-cache",
         "--telemetry",
     ]);
-    // The JSON the client sends decodes to the same spec.
-    assert_eq!(
-        ExperimentSpec::parse_json(&spec.to_json().render()).unwrap(),
-        spec
-    );
+    // The flags the client sends parse back to the same spec.
+    assert_eq!(ExperimentSpec::from_args(&spec.to_args()).unwrap(), spec);
 
     let (addr, _queue, server) = boot(2);
     let mut client = Client::connect(addr).expect("connect");
@@ -77,6 +75,92 @@ fn spec_survives_the_wire_and_rows_match_a_direct_session_run() {
     let served: Vec<String> = rows.iter().map(wire_line).collect();
     assert_eq!(served, direct);
     shutdown_and_join(addr, server);
+}
+
+#[test]
+fn rows_stream_in_the_order_a_local_run_returns_them() {
+    // Named out of suite order: perl_hash comes first in the suite.
+    let spec = spec_of(&[
+        "test",
+        "--workloads=hmmer_dp,perl_hash",
+        "--machines=single-small",
+        "--no-cache",
+    ]);
+    let local = spec.run().unwrap();
+    let names: Vec<&str> = local.iter().map(|b| b.name).collect();
+    assert_eq!(names, ["perl_hash", "hmmer_dp"]);
+    let local: Vec<String> = local
+        .iter()
+        .map(|b| wire_line(&bench_result_row(b)))
+        .collect();
+
+    let (addr, _queue, server) = boot(1);
+    let mut client = Client::connect(addr).expect("connect");
+    let (sub, rows, outcome) = client.run_to_completion(&spec).expect("job runs");
+    assert!(outcome.is_done());
+    assert_eq!(rows.iter().map(wire_line).collect::<Vec<_>>(), local);
+
+    // The same workloads named in the other order are the same job.
+    let reversed = spec_of(&[
+        "test",
+        "--workloads=perl_hash,hmmer_dp",
+        "--machines=single-small",
+        "--no-cache",
+    ]);
+    assert_eq!(reversed.dedup_key(), spec.dedup_key());
+    let (again, rows, _) = client.run_to_completion(&reversed).expect("dedup run");
+    assert_eq!((again.job, again.dedup), (sub.job, true));
+    assert_eq!(rows.iter().map(wire_line).collect::<Vec<_>>(), local);
+    shutdown_and_join(addr, server);
+}
+
+#[test]
+fn a_no_cache_spec_stores_no_live_points_in_the_daemon_cache_dir() {
+    let dir = std::env::temp_dir().join(format!("fgstp-service-no-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = Daemon::bind(DaemonConfig {
+        workers: 1,
+        cache_dir: Some(dir.clone()),
+        ..DaemonConfig::default()
+    })
+    .expect("bind 127.0.0.1:0");
+    let addr = daemon.local_addr().expect("bound address");
+    let server = thread::spawn(move || daemon.run().expect("daemon run"));
+    let livepoints = || {
+        std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "fgss"))
+            .count()
+    };
+    let sampled = |workload: &str, extra: &[&str]| {
+        let mut flags = vec![
+            "test".to_owned(),
+            format!("--workloads={workload}"),
+            "--machines=single-small".to_owned(),
+            "--sample-interval=2000".to_owned(),
+            "--sample-warmup=300".to_owned(),
+            "--sample-detail=150".to_owned(),
+        ];
+        flags.extend(extra.iter().map(|f| (*f).to_owned()));
+        ExperimentSpec::from_args(&flags).expect("test spec is valid")
+    };
+
+    let mut client = Client::connect(addr).expect("connect");
+    let (_, _, outcome) = client
+        .run_to_completion(&sampled("perl_hash", &["--no-cache"]))
+        .expect("job runs");
+    assert!(outcome.is_done());
+    assert_eq!(livepoints(), 0, "a --no-cache spec stores nothing");
+    // Control: the same daemon does store the live-points of a cached spec.
+    let (_, _, outcome) = client
+        .run_to_completion(&sampled("hmmer_dp", &[]))
+        .expect("job runs");
+    assert!(outcome.is_done());
+    assert_eq!(livepoints(), 1, "a cached spec stores its live-points");
+    shutdown_and_join(addr, server);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -180,17 +264,22 @@ fn malformed_and_unsatisfiable_requests_get_structured_errors() {
     assert_eq!(kind_of(&v), "bad-json");
     let v = ask(r#"{"cmd": "frobnicate"}"#);
     assert_eq!(kind_of(&v), "bad-request");
-    let v = ask(r#"{"cmd": "submit", "spec": {"workloads": ["nope"]}}"#);
+    // A submit carries its spec as an array of flag strings.
+    let v = ask(r#"{"cmd": "submit", "spec": {"workloads": ["perl_hash"]}}"#);
+    assert_eq!(kind_of(&v), "bad-request");
+    let v = ask(r#"{"cmd": "submit", "args": ["test", 3]}"#);
+    assert_eq!(kind_of(&v), "bad-request");
+    let v = ask(r#"{"cmd": "submit", "args": ["--workloads=nope"]}"#);
     assert_eq!(kind_of(&v), "unknown-workload");
-    let v = ask(r#"{"cmd": "submit", "spec": {"machines": ["warp-drive"]}}"#);
+    let v = ask(r#"{"cmd": "submit", "args": ["--machines=warp-drive"]}"#);
     assert_eq!(kind_of(&v), "unknown-machine");
     // --cores on a non-Fg-STP machine set and --cores with --sample are
     // unsatisfiable combinations, not crashes.
-    let v = ask(r#"{"cmd": "submit", "spec": {"cores": 3}}"#);
+    let v = ask(r#"{"cmd": "submit", "args": ["--cores=3"]}"#);
     assert_eq!(kind_of(&v), "conflict");
     let v = ask(
-        r#"{"cmd": "submit", "spec": {"machines": ["fgstp-small"], "cores": 3,
-            "sample": {"interval": 1000, "warmup": 100, "detail": 100}}}"#
+        r#"{"cmd": "submit", "args": ["--machines=fgstp-small", "--cores=3",
+            "--sample-interval=1000", "--sample-warmup=100", "--sample-detail=100"]}"#
             .replace('\n', " ")
             .as_str(),
     );
