@@ -12,18 +12,18 @@
 use fgstp::{run_fgstp, run_oracle, run_sampling, FgstpConfig, SamplingConfig};
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::run_single;
 use fgstp_sim::{geomean, Table};
 
 fn main() {
     let args = ExpArgs::parse();
     let cfg = FgstpConfig::small();
     let hcfg = HierarchyConfig::small(2);
+    let one_core = FgstpConfig::single(cfg.core.clone());
     let single_h = HierarchyConfig::small(1);
     let sampling = SamplingConfig::default();
 
     let points = args.session().map_suite(|w, t| {
-        let single = run_single(t.insts(), &cfg.core, &single_h);
+        let (single, _) = run_fgstp(t.insts(), &one_core, &single_h);
         let (fg, _) = run_fgstp(t.insts(), &cfg, &hcfg);
         let oracle = run_oracle(t.insts(), &cfg, &hcfg);
         let sampled = run_sampling(t.insts(), &cfg, &hcfg, &sampling);

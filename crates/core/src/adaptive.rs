@@ -22,7 +22,7 @@
 
 use fgstp_isa::DynInst;
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::run_single;
+use fgstp_ooo::RunResult;
 
 use crate::machine::{run_fgstp, FgstpConfig};
 
@@ -74,11 +74,22 @@ impl Default for SamplingConfig {
     }
 }
 
+/// Runs `trace` on `cfg`'s machine resized to `cores` cores, over `hcfg`
+/// resized to match (one core is the conventional core running alone).
+fn run_on_cores(
+    trace: &[DynInst],
+    cfg: &FgstpConfig,
+    hcfg: &HierarchyConfig,
+    cores: usize,
+) -> RunResult {
+    let h = HierarchyConfig { cores, ..*hcfg };
+    run_fgstp(trace, &cfg.clone().with_cores(cores), &h).0
+}
+
 /// Runs `trace` in the faster of the two modes (cycles of the winner
 /// only) — the oracle upper bound for any reconfiguration policy.
 pub fn run_oracle(trace: &[DynInst], cfg: &FgstpConfig, hcfg: &HierarchyConfig) -> AdaptiveResult {
-    let single_h = HierarchyConfig { cores: 1, ..*hcfg };
-    let single = run_single(trace, &cfg.core, &single_h);
+    let single = run_on_cores(trace, cfg, hcfg, 1);
     let (fgstp, _) = run_fgstp(trace, cfg, hcfg);
     if single.cycles <= fgstp.cycles {
         AdaptiveResult {
@@ -112,8 +123,7 @@ pub fn run_sampling(
     if sample == 0 {
         return run_oracle(trace, cfg, hcfg);
     }
-    let single_h = HierarchyConfig { cores: 1, ..*hcfg };
-    let s0 = run_single(&trace[..sample], &cfg.core, &single_h);
+    let s0 = run_on_cores(&trace[..sample], cfg, hcfg, 1);
     let (s1, _) = run_fgstp(&trace[sample..2 * sample], cfg, hcfg);
     let sampling_cycles = s0.cycles + s1.cycles + sampling.reconfig_penalty;
     let rest = &trace[2 * sample..];
@@ -122,7 +132,7 @@ pub fn run_sampling(
     let fgstp_cpi = s1.cycles as f64 / sample as f64;
     let (mode, rest_cycles) = if single_cpi <= fgstp_cpi {
         // Already in fgstp mode after the second sample: switch back.
-        let r = run_single(rest, &cfg.core, &single_h);
+        let r = run_on_cores(rest, cfg, hcfg, 1);
         (Mode::Single, r.cycles + sampling.reconfig_penalty)
     } else {
         let (r, _) = run_fgstp(rest, cfg, hcfg);
@@ -227,19 +237,7 @@ pub fn run_dynamic(
             });
         }
         let end = (done + quantum).min(trace.len());
-        let segment = &trace[done..end];
-        let cycles = if current == 1 {
-            let h = HierarchyConfig { cores: 1, ..*hcfg };
-            run_single(segment, &cfg.core, &h).cycles
-        } else {
-            let h = HierarchyConfig {
-                cores: current,
-                ..*hcfg
-            };
-            let (r, _) = run_fgstp(segment, &cfg.clone().with_cores(current), &h);
-            r.cycles
-        };
-        now += cycles;
+        now += run_on_cores(&trace[done..end], cfg, hcfg, current).cycles;
         done = end;
     }
     DynamicResult {
@@ -277,7 +275,8 @@ mod tests {
             let cfg = FgstpConfig::small();
             let hcfg = HierarchyConfig::small(2);
             let oracle = run_oracle(t.insts(), &cfg, &hcfg);
-            let single = run_single(t.insts(), &cfg.core, &HierarchyConfig::small(1));
+            let one_core = FgstpConfig::single(cfg.core.clone());
+            let (single, _) = run_fgstp(t.insts(), &one_core, &HierarchyConfig::small(1));
             let (fg, _) = run_fgstp(t.insts(), &cfg, &hcfg);
             assert!(oracle.cycles <= single.cycles);
             assert!(oracle.cycles <= fg.cycles);

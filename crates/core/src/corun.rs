@@ -3,9 +3,9 @@
 //! hierarchy.
 //!
 //! A [`CoRunPlan`] places one Fg-STP machine instance per program (a
-//! single-core "machine" is the conventional core — the 1-core Fg-STP
-//! machine is bit-identical to `run_single`) on consecutive core ranges of
-//! one chip. The driver advances a single global cycle counter and steps
+//! one-core program is the conventional core running alone, exactly as
+//! the single-core presets run it) on consecutive core ranges of one
+//! chip. The driver advances a single global cycle counter and steps
 //! each active program's machine in fixed program order every cycle, so
 //! shared-resource arbitration (L2 tags, L2 MSHRs, the optional
 //! finite-bandwidth DRAM channel) sees requests in a deterministic

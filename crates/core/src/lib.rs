@@ -26,10 +26,26 @@
 //! * [`exec`] — a functional partitioned executor that *proves* a
 //!   partition preserves sequential semantics ([`check_partition`]).
 //!
-//! The **Core Fusion** baseline the paper compares against is the fused
-//! two-cluster configuration of the `fgstp-ooo` core
-//! ([`fgstp_ooo::CoreConfig::fused`]), run through
-//! [`fgstp_ooo::run_single`].
+//! The baselines the paper compares against run on the same machine with
+//! one core and nothing to partition ([`FgstpConfig::single`]): one
+//! conventional core, or the **Core Fusion** core, the fused two-cluster
+//! configuration of the `fgstp-ooo` core
+//! ([`fgstp_ooo::CoreConfig::fused`]).
+//!
+//! ```
+//! use fgstp::{run_fgstp, FgstpConfig};
+//! use fgstp_isa::{assemble, trace_program};
+//! use fgstp_mem::HierarchyConfig;
+//! use fgstp_ooo::CoreConfig;
+//!
+//! let p = assemble("li x1, 3\nadd x2, x1, x1\nhalt")?;
+//! let t = trace_program(&p, 1000)?;
+//! let one = FgstpConfig::single(CoreConfig::small());
+//! let (r, _) = run_fgstp(t.insts(), &one, &HierarchyConfig::small(1));
+//! assert_eq!(r.committed, 2);
+//! assert_eq!(r.cores.len(), 1);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 //!
 //! ```
 //! use fgstp::{run_fgstp, FgstpConfig};

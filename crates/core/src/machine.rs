@@ -17,7 +17,10 @@
 //! * **global in-order commit** across all cores.
 //!
 //! The paper's machine is the 2-core instance (`num_cores = 2`, the
-//! default); every mechanism generalizes unchanged to N cores.
+//! default); every mechanism generalizes unchanged to N cores. The
+//! baselines are the 1-core instance ([`FgstpConfig::single`]): one
+//! conventional core, or the fused Core Fusion core, running the thread
+//! alone with nothing to partition, send or replicate.
 
 use fgstp_isa::DynInst;
 use fgstp_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
@@ -79,6 +82,18 @@ impl FgstpConfig {
         FgstpConfig {
             core: CoreConfig::medium(),
             ..FgstpConfig::small()
+        }
+    }
+
+    /// One core running the whole thread: a conventional core, or the
+    /// fused Core Fusion core when `core` has two clusters
+    /// ([`CoreConfig::fused`]). Nothing is partitioned, sent or
+    /// replicated, so the coupling parameters (left at the
+    /// [`FgstpConfig::small`] values) never come into play.
+    pub fn single(core: CoreConfig) -> FgstpConfig {
+        FgstpConfig {
+            core,
+            ..FgstpConfig::small().with_cores(1)
         }
     }
 
@@ -430,8 +445,9 @@ pub fn run_fgstp(
 
 /// Runs `trace` on the Fg-STP machine entered with the long-lived state in
 /// `warm` — a fresh [`WarmState`] for a whole-trace run, or the warmed
-/// state of a sampled detailed window; the N-core counterpart of
-/// [`fgstp_ooo::run_single_warm`].
+/// state of a sampled detailed window. This is the one entry for every
+/// machine shape: a one-core `cfg` ([`FgstpConfig::single`]) is a
+/// conventional or fused core running alone.
 ///
 /// The shared frontend predicts on `warm.pred` and every core accesses
 /// `warm.mem`; the cycles until the `measure_from`-th primary commit are
@@ -483,9 +499,12 @@ pub fn run_fgstp_warm<S: CycleSink>(
 /// co-run.
 #[derive(Debug)]
 pub struct PreparedProgram {
+    /// The annotated stream in program order. A one-core program runs it
+    /// as core 0's stream.
     stream: Vec<ExecInst>,
-    /// Per-core streams, send masks, load barriers and the summary of the
-    /// partition; the rest of [`PartitionedStream`] is dropped up front.
+    /// Per-core streams (empty for a one-core program), send masks, load
+    /// barriers and the summary of the partition; the rest of
+    /// [`PartitionedStream`] is dropped up front.
     streams: Vec<Vec<ExecInst>>,
     send_targets: Vec<u64>,
     load_barriers: Vec<u64>,
@@ -495,7 +514,9 @@ pub struct PreparedProgram {
 impl PreparedProgram {
     /// Builds the annotated execution stream and partitions it for `cfg`'s
     /// machine (capacity-weighted on asymmetric machines, exactly like
-    /// [`run_fgstp`]).
+    /// [`run_fgstp`]). A one-core machine has nothing to partition: its
+    /// core runs the annotated stream itself, which is exactly what the
+    /// partitioner would hand it.
     ///
     /// # Panics
     ///
@@ -509,6 +530,20 @@ impl PreparedProgram {
             );
         }
         let stream = build_exec_stream(trace);
+        if cfg.num_cores == 1 {
+            // No value is sent and no load waits on another core's store.
+            let n = stream.len();
+            return PreparedProgram {
+                streams: Vec::new(),
+                send_targets: vec![0; n],
+                load_barriers: vec![u64::MAX; n],
+                stats: PartitionStats {
+                    insts: vec![n as u64],
+                    ..PartitionStats::default()
+                },
+                stream,
+            };
+        }
         let PartitionedStream {
             streams,
             send_targets,
@@ -534,10 +569,25 @@ impl PreparedProgram {
     pub fn is_empty(&self) -> bool {
         self.stream.is_empty()
     }
+
+    /// Number of cores the program was prepared for.
+    fn num_cores(&self) -> usize {
+        self.streams.len().max(1)
+    }
+
+    /// The stream core `i` runs.
+    fn core_stream(&self, i: usize) -> &[ExecInst] {
+        if self.streams.is_empty() {
+            &self.stream
+        } else {
+            &self.streams[i]
+        }
+    }
 }
 
 /// One steppable Fg-STP machine instance over a [`PreparedProgram`]: the
-/// cycle driver behind [`run_fgstp_warm`] and the co-run building block.
+/// cycle driver behind [`run_fgstp_warm`] and the co-run building block,
+/// and the only cycle loop of the timing model.
 /// A lone machine stepped from cycle 0 against a cold hierarchy is
 /// [`run_fgstp`]; the co-run degenerate-case tests pin this down.
 ///
@@ -573,7 +623,7 @@ impl<'a> FgstpMachine<'a> {
     ) -> FgstpMachine<'a> {
         let n = cfg.num_cores;
         assert_eq!(
-            prog.streams.len(),
+            prog.num_cores(),
             n,
             "program was partitioned for a different core count"
         );
@@ -585,15 +635,13 @@ impl<'a> FgstpMachine<'a> {
             n,
             pred,
         );
-        let mut cores: Vec<Core> = prog
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Core::new(i, cfg.core_for(i), s))
+        let cores: Vec<Core> = (0..n)
+            .map(|i| {
+                let mut core = Core::new(i, cfg.core_for(i), prog.core_stream(i));
+                core.set_mem_core(mem_core_base + i);
+                core
+            })
             .collect();
-        for (i, c) in cores.iter_mut().enumerate() {
-            c.set_mem_core(mem_core_base + i);
-        }
         FgstpMachine {
             prog,
             env,
@@ -692,6 +740,33 @@ mod tests {
         trace_program(&p, 200_000).unwrap()
     }
 
+    /// `t` on one core of shape `core` (a conventional or fused core).
+    fn run_one(t: &Trace, core: CoreConfig, hcfg: &HierarchyConfig) -> RunResult {
+        run_fgstp(t.insts(), &FgstpConfig::single(core), hcfg).0
+    }
+
+    /// A small loop kernel with a mix of ALU, memory and branches.
+    fn kernel() -> Trace {
+        trace(
+            r#"
+                li x1, 0x1000    # base
+                li x2, 1600      # n * 8 bytes
+                li x3, 0         # i
+                li x4, 0         # sum
+            loop:
+                sll  x5, x3, x6
+                add  x5, x1, x3
+                sd   x3, 0(x5)
+                ld   x6, 0(x5)
+                add  x4, x4, x6
+                addi x3, x3, 8
+                slt  x7, x3, x2
+                bne  x7, x0, loop
+                halt
+            "#,
+        )
+    }
+
     /// Two independent chains — the best case for partitioning.
     fn two_chain_trace() -> Trace {
         let mut src = String::from("li x1, 1\nli x2, 1\nli x9, 150\n");
@@ -729,8 +804,7 @@ mod tests {
     #[test]
     fn fgstp_beats_one_small_core_on_partition_friendly_code() {
         let t = two_chain_trace();
-        let single =
-            fgstp_ooo::run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+        let single = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
         let (fg, _) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
         assert!(
             fg.cycles < single.cycles,
@@ -1006,5 +1080,223 @@ mod tests {
     fn empty_trace_finishes() {
         let (r, _) = run_fgstp(&[], &FgstpConfig::small(), &HierarchyConfig::small(2));
         assert_eq!(r.committed, 0);
+    }
+
+    #[test]
+    fn ipc_is_positive_and_bounded() {
+        let t = kernel();
+        let r = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+        assert_eq!(r.committed, t.len() as u64);
+        assert!(r.ipc() > 0.1, "ipc {}", r.ipc());
+        assert!(
+            r.ipc() <= 2.0,
+            "small core cannot exceed its width, ipc {}",
+            r.ipc()
+        );
+    }
+
+    #[test]
+    fn medium_core_beats_small_core() {
+        let t = kernel();
+        let small = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+        let medium = run_one(&t, CoreConfig::medium(), &HierarchyConfig::medium(1));
+        assert!(
+            medium.cycles <= small.cycles,
+            "medium ({}) should not be slower than small ({})",
+            medium.cycles,
+            small.cycles
+        );
+    }
+
+    #[test]
+    fn fused_core_beats_single_small_core_on_ilp() {
+        // Independent operations in each iteration: lots of ILP.
+        let t = trace(
+            r#"
+                li x2, 300
+            loop:
+                addi x3, x3, 1
+                addi x4, x4, 2
+                addi x5, x5, 3
+                addi x6, x6, 4
+                addi x7, x7, 5
+                addi x8, x8, 6
+                addi x2, x2, -1
+                bne  x2, x0, loop
+                halt
+            "#,
+        );
+        let small = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+        let fused = run_one(
+            &t,
+            CoreConfig::fused(&CoreConfig::small()),
+            &HierarchyConfig::small(1),
+        );
+        assert!(
+            fused.cycles < small.cycles,
+            "fusion should win on ILP: fused {} vs small {}",
+            fused.cycles,
+            small.cycles
+        );
+    }
+
+    #[test]
+    fn branch_stats_are_reported() {
+        let t = kernel();
+        let r = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+        let (branches, mispredicts) = r.branches;
+        assert_eq!(branches, 200);
+        assert!(mispredicts < branches / 2, "loop branch is predictable");
+    }
+
+    #[test]
+    fn mem_stats_are_reported() {
+        let t = kernel();
+        let r = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+        // Loads in this kernel forward from the same-iteration store, so
+        // only the 200 committed stores reach the L1D.
+        assert!(
+            r.mem.l1d[0].accesses >= 200,
+            "got {}",
+            r.mem.l1d[0].accesses
+        );
+        assert!(
+            r.cores[0].store_forwards >= 190,
+            "got {}",
+            r.cores[0].store_forwards
+        );
+    }
+
+    #[test]
+    fn speedup_over_is_a_ratio_of_cycles() {
+        let t = kernel();
+        let a = run_one(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+        let b = run_one(&t, CoreConfig::medium(), &HierarchyConfig::medium(1));
+        let s = b.speedup_over(&a);
+        assert!((s - a.cycles as f64 / b.cycles as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_trace_finishes_immediately() {
+        let r = run_one(
+            &Trace::from_insts(Vec::new()),
+            CoreConfig::small(),
+            &HierarchyConfig::small(1),
+        );
+        assert_eq!(r.committed, 0);
+        assert_eq!(r.cycles, 0);
+    }
+
+    #[test]
+    fn recorded_run_captures_every_stage_in_order() {
+        let t = kernel();
+        let cfg = FgstpConfig::single(CoreConfig::small());
+        let hcfg = HierarchyConfig::small(1);
+        let mut rec = fgstp_ooo::PipeRecorder::new();
+        let r = run_with(&t, &cfg, &hcfg, &mut rec);
+        assert_eq!(r.cycles, run_fgstp(t.insts(), &cfg, &hcfg).0.cycles);
+        assert_eq!(rec.len() as u64, r.committed, "every instruction recorded");
+        for (gseq, ev) in rec.iter(0) {
+            assert!(ev.is_ordered(), "stages out of order for {gseq}: {ev:?}");
+            for stage in fgstp_telemetry::Stage::ALL {
+                assert!(ev.at(stage).is_some(), "{gseq} missing {stage:?}");
+            }
+            // Commit never exceeds the run length.
+            assert!(ev.commit.unwrap() <= r.cycles);
+        }
+        // The rendered view of the first instructions is non-trivial.
+        let view = rec.render(t.insts(), 0, 0, 8);
+        assert!(view.lines().count() >= 9, "{view}");
+    }
+
+    #[test]
+    fn sink_accounts_every_cycle_without_changing_timing() {
+        let t = kernel();
+        let cfg = FgstpConfig::single(CoreConfig::small());
+        let hcfg = HierarchyConfig::small(1);
+        let (plain, _) = run_fgstp(t.insts(), &cfg, &hcfg);
+        let mut sink = fgstp_telemetry::CpiSink::new(1);
+        let r = run_with(&t, &cfg, &hcfg, &mut sink);
+        assert_eq!(r.cycles, plain.cycles, "telemetry must not change timing");
+        assert_eq!(r.committed, plain.committed);
+        let stack = sink.merged();
+        stack.check_against(r.cycles).unwrap();
+        assert_eq!(stack.committed, r.committed);
+        assert!(stack.base_cycles > 0, "some cycles commit");
+        assert!(
+            stack.total_cycles() > stack.base_cycles,
+            "a real kernel stalls somewhere"
+        );
+    }
+
+    #[test]
+    fn commit_is_strictly_in_order() {
+        // An instruction retires only once every older instruction, on
+        // any core, has completed.
+        let t = trace("li x1, 1\nli x2, 2\nhalt");
+        let cfg = FgstpConfig::single(CoreConfig::small());
+        let prog = PreparedProgram::new(t.insts(), &cfg);
+        let mut pred = PredictorState::new(&cfg.core);
+        let mut env = FgstpEnv::new(
+            &cfg,
+            &prog.stream,
+            &prog.send_targets,
+            &prog.load_barriers,
+            1,
+            &mut pred,
+        );
+        let xs = &prog.stream;
+        assert!(!env.can_commit(&xs[0]), "nothing has completed");
+        env.on_complete(0, &xs[1], 5);
+        assert!(!env.can_commit(&xs[1]), "an older instruction is in flight");
+        env.on_complete(0, &xs[0], 7);
+        assert!(env.can_commit(&xs[0]));
+        assert!(env.can_commit(&xs[1]));
+        env.on_commit(0, &xs[0], 8);
+        assert_eq!(env.committed, 1);
+    }
+
+    #[test]
+    fn one_core_preparation_matches_the_general_partition_path() {
+        use crate::partition::PartitionPolicy;
+        use fgstp_workloads::{by_name, Scale};
+        for name in ["perl_hash", "libq_stream", "mcf_pointer"] {
+            let w = by_name(name, Scale::Test).unwrap();
+            let t = w.try_trace(Scale::Test.trace_budget()).unwrap();
+            let stream = build_exec_stream(t.insts());
+            for policy in [
+                PartitionPolicy::ModN { chunk: 4 },
+                PartitionPolicy::GreedyDep,
+                PartitionPolicy::fgstp_default(),
+            ] {
+                for replication in [false, true] {
+                    let mut cfg = FgstpConfig::small().with_cores(1);
+                    cfg.partition.policy = policy;
+                    cfg.partition.replication = replication;
+                    let at = format!("{name}, {policy:?}, replication {replication}");
+                    let prog = PreparedProgram::new(t.insts(), &cfg);
+                    let general =
+                        partition_stream_weighted(&stream, &cfg.partition, &cfg.steering_caps());
+                    assert_eq!(general.num_cores(), 1, "{at}");
+                    assert!(prog.core_stream(0) == &general.streams[0][..], "{at}");
+                    assert_eq!(prog.send_targets, general.send_targets, "{at}");
+                    assert_eq!(prog.load_barriers, general.load_barriers, "{at}");
+                    assert_eq!(prog.stats, general.stats, "{at}");
+                    // One core never sends, replicates or crosses.
+                    assert!(prog.send_targets.iter().all(|&m| m == 0), "{at}");
+                    assert_eq!(prog.stats.replicated, 0, "{at}");
+                    assert_eq!(prog.stats.cross_reg_deps, 0, "{at}");
+                    assert_eq!(prog.stats.cross_mem_deps, 0, "{at}");
+                }
+            }
+            let (r, s) = run_fgstp(
+                t.insts(),
+                &FgstpConfig::single(CoreConfig::small()),
+                &HierarchyConfig::small(1),
+            );
+            assert_eq!(r.committed, t.len() as u64, "{name}");
+            assert_eq!(s.comm_total().sends, 0, "{name}: one core never sends");
+            assert_eq!(s.cross_violations, 0, "{name}");
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! Mapping commit-stall probes onto CPI-stack categories.
 //!
-//! The machine drivers snapshot [`CoreStats`] around every cycle; on a
-//! cycle that committed nothing they combine the [`Core::commit_stall`]
-//! probe with the per-cycle stats delta to charge the cycle to exactly
-//! one [`StallCategory`]. [`classify_single`] covers everything a single
-//! (or fused) core can experience; the Fg-STP driver layers its
-//! cross-core refinements (communication wait, backpressure,
-//! replication, commit sync) on top before falling back to it.
+//! The machine driver (`fgstp::FgstpMachine::step`) snapshots
+//! [`CoreStats`] around every cycle; on a cycle that committed nothing it
+//! combines the [`Core::commit_stall`] probe with the per-cycle stats
+//! delta to charge the cycle to exactly one [`StallCategory`].
+//! [`classify_single`] covers everything a core running alone (a single
+//! or fused core) can experience; the driver layers its cross-core
+//! refinements (communication wait, backpressure, replication, commit
+//! sync) on top before falling back to it.
 //!
 //! [`Core::commit_stall`]: crate::Core::commit_stall
 

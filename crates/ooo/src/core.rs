@@ -202,10 +202,10 @@ struct SqEntry {
 /// State of the window head (or the empty window) on a cycle that
 /// committed nothing — the raw material for CPI-stack attribution.
 ///
-/// Produced by [`Core::commit_stall`]; the machine drivers map it to a
+/// Produced by [`Core::commit_stall`]; the machine driver maps it to a
 /// [`fgstp_telemetry::StallCategory`] with machine-specific refinements
-/// (a single core has no cross-core categories; the Fg-STP driver
-/// distinguishes gate blocks from lookahead backpressure).
+/// (a core running alone has no cross-core categories; with partners the
+/// driver distinguishes gate blocks from lookahead backpressure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitStall {
     /// The window is empty: the frontend is refilling it. The stats
@@ -1074,11 +1074,55 @@ impl<'a> Core<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::SingleEnv;
     use fgstp_isa::{assemble, trace_program};
     use fgstp_mem::HierarchyConfig;
 
+    use crate::env::{FetchGate, LoadGate, Prediction, PredictorState};
     use crate::stream::build_exec_stream;
+
+    /// The world of one core running alone: its own predictor, a fetch
+    /// gate, and commit in program order. Nothing crosses cores.
+    struct InOrderEnv {
+        pred: PredictorState,
+        gate: FetchGate,
+        next_commit: u64,
+    }
+
+    impl ExecEnv for InOrderEnv {
+        fn predict(&mut self, _core: usize, x: &ExecInst) -> Prediction {
+            self.pred.predict(x)
+        }
+
+        fn fetch_blocked(&mut self, _core: usize, gseq: u64, now: u64) -> bool {
+            self.gate.blocked(gseq, now)
+        }
+
+        fn block_fetch_after(&mut self, _core: usize, gseq: u64) {
+            self.gate.block_after(gseq);
+        }
+
+        fn resolve_fetch_block(&mut self, _core: usize, gseq: u64, resume: u64) {
+            self.gate.resolve(gseq, resume);
+        }
+
+        fn on_complete(&mut self, _core: usize, _x: &ExecInst, _cycle: u64) {}
+
+        fn cross_operand_ready(&mut self, _core: usize, producer: u64) -> Option<u64> {
+            unreachable!("one core has no cross-core producer ({producer})")
+        }
+
+        fn cross_load_gate(&mut self, _: usize, _: &ExecInst, _: u64, _: u64) -> LoadGate {
+            LoadGate::Free
+        }
+
+        fn can_commit(&self, x: &ExecInst) -> bool {
+            x.gseq == self.next_commit
+        }
+
+        fn on_commit(&mut self, _core: usize, _x: &ExecInst, _cycle: u64) {
+            self.next_commit += 1;
+        }
+    }
 
     fn run(src: &str, cfg: CoreConfig) -> (u64, CoreStats) {
         let p = assemble(src).unwrap();
@@ -1086,8 +1130,11 @@ mod tests {
         let stream = build_exec_stream(t.insts());
         let total = stream.len() as u64;
         let mut core = Core::new(0, &cfg, &stream);
-        let mut pred = crate::env::PredictorState::new(&cfg);
-        let mut env = SingleEnv::new(&mut pred);
+        let mut env = InOrderEnv {
+            pred: PredictorState::new(&cfg),
+            gate: FetchGate::default(),
+            next_commit: 0,
+        };
         let mut mem = fgstp_mem::Hierarchy::new(&HierarchyConfig::small(1));
         let mut now = 0u64;
         while !core.done() {

@@ -3,8 +3,11 @@
 //! The core pipeline ([`crate::Core`]) is machine-agnostic: branch
 //! prediction, fetch gating, global commit order, cross-core operand
 //! delivery and cross-core memory ordering all live behind the [`ExecEnv`]
-//! trait. The single-core implementation ([`SingleEnv`]) is provided here;
-//! the Fg-STP dual-core environment lives in the `fgstp` crate.
+//! trait. Its one implementation is the `fgstp` crate's N-core machine
+//! environment, which also runs the one-core machines (a conventional
+//! core or the fused Core Fusion core alone). This module provides the
+//! pieces an environment is built from: the predictor bundle and the
+//! fetch gate.
 
 use fgstp_bpred::{Btb, DirectionPredictor, ReturnStack};
 use fgstp_isa::{DynInst, InstClass, Op};
@@ -260,85 +263,6 @@ impl FetchGate {
     }
 }
 
-/// Environment for a conventional single core (also used for the fused
-/// Core Fusion core, which is a single wide clustered core).
-#[derive(Debug)]
-pub struct SingleEnv<'a> {
-    pred: &'a mut PredictorState,
-    gate: FetchGate,
-    next_commit: u64,
-    committed: u64,
-}
-
-impl<'a> SingleEnv<'a> {
-    /// Creates the environment around a predictor bundle — fresh for a
-    /// cold run, already trained for a sampled window. Commit order and
-    /// commit counters start fresh; the predictor's cumulative
-    /// `branches`/`mispredicts` counters keep counting.
-    pub fn new(pred: &'a mut PredictorState) -> SingleEnv<'a> {
-        SingleEnv {
-            pred,
-            gate: FetchGate::default(),
-            next_commit: 0,
-            committed: 0,
-        }
-    }
-
-    /// Conditional branches predicted and mispredicted.
-    pub fn branch_stats(&self) -> (u64, u64) {
-        (self.pred.branches, self.pred.mispredicts)
-    }
-
-    /// Instructions committed.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-}
-
-impl ExecEnv for SingleEnv<'_> {
-    fn predict(&mut self, _core: usize, x: &ExecInst) -> Prediction {
-        self.pred.predict(x)
-    }
-
-    fn fetch_blocked(&mut self, _core: usize, gseq: u64, now: u64) -> bool {
-        self.gate.blocked(gseq, now)
-    }
-
-    fn block_fetch_after(&mut self, _core: usize, gseq: u64) {
-        self.gate.block_after(gseq);
-    }
-
-    fn resolve_fetch_block(&mut self, _core: usize, gseq: u64, resume: u64) {
-        self.gate.resolve(gseq, resume);
-    }
-
-    fn on_complete(&mut self, _core: usize, _x: &ExecInst, _cycle: u64) {}
-
-    fn cross_operand_ready(&mut self, _core: usize, producer: u64) -> Option<u64> {
-        unreachable!("single-core streams have no cross-core dependences (producer {producer})")
-    }
-
-    fn cross_load_gate(
-        &mut self,
-        _core: usize,
-        _x: &ExecInst,
-        _ready_since: u64,
-        _now: u64,
-    ) -> LoadGate {
-        LoadGate::Free
-    }
-
-    fn can_commit(&self, x: &ExecInst) -> bool {
-        x.gseq == self.next_commit
-    }
-
-    fn on_commit(&mut self, _core: usize, x: &ExecInst, _cycle: u64) {
-        debug_assert_eq!(x.gseq, self.next_commit);
-        self.next_commit += 1;
-        self.committed += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,15 +309,13 @@ mod tests {
                 halt
             "#,
         );
-        let cfg = CoreConfig::small();
-        let mut pred = PredictorState::new(&cfg);
-        let mut env = SingleEnv::new(&mut pred);
+        let mut pred = PredictorState::new(&CoreConfig::small());
         for x in &xs {
             if x.class().is_control() {
-                env.predict(0, x);
+                pred.predict(x);
             }
         }
-        let (branches, mispredicts) = env.branch_stats();
+        let (branches, mispredicts) = (pred.branches, pred.mispredicts);
         assert_eq!(branches, 5);
         assert!(mispredicts <= branches);
         assert!(
@@ -412,28 +334,13 @@ mod tests {
                 jalr x0, ra, 0      # return to 1
             "#,
         );
-        let cfg = CoreConfig::small();
-        let mut pred = PredictorState::new(&cfg);
-        let mut env = SingleEnv::new(&mut pred);
+        let mut pred = PredictorState::new(&CoreConfig::small());
         // Call: direct jump, cold BTB -> decode bubble only.
-        let p0 = env.predict(0, &xs[0]);
+        let p0 = pred.predict(&xs[0]);
         assert!(!p0.mispredicted);
         assert!(p0.btb_miss);
         // Return: the RAS has the link address -> predicted correctly.
-        let p1 = env.predict(0, &xs[1]);
+        let p1 = pred.predict(&xs[1]);
         assert!(!p1.mispredicted, "return should be predicted by the RAS");
-    }
-
-    #[test]
-    fn commit_is_strictly_in_order() {
-        let xs = exec_insts("li x1, 1\nli x2, 2\nhalt");
-        let cfg = CoreConfig::small();
-        let mut pred = PredictorState::new(&cfg);
-        let mut env = SingleEnv::new(&mut pred);
-        assert!(env.can_commit(&xs[0]));
-        assert!(!env.can_commit(&xs[1]));
-        env.on_commit(0, &xs[0], 1);
-        assert!(env.can_commit(&xs[1]));
-        assert_eq!(env.committed(), 1);
     }
 }

@@ -9,24 +9,29 @@
 //!
 //! The pipeline ([`Core`]) is machine-agnostic: prediction, fetch gating,
 //! global commit order and all cross-core interactions go through
-//! [`ExecEnv`], so the same pipeline implements
+//! [`ExecEnv`]. This crate has no machine loop of its own; the `fgstp`
+//! crate's N-core machine drives every configuration:
 //!
-//! * a conventional single core ([`run_single`] with a one-cluster
+//! * a conventional single core (the one-core machine over a one-cluster
 //!   [`CoreConfig`]),
-//! * the **Core Fusion** baseline (a two-cluster fused configuration from
-//!   [`CoreConfig::fused`], still driven by [`run_single`]), and
-//! * each half of the **Fg-STP** pair (driven by the `fgstp` crate's
-//!   dual-core environment).
+//! * the **Core Fusion** baseline (the one-core machine over the
+//!   two-cluster fused configuration from [`CoreConfig::fused`]), and
+//! * each core of the **Fg-STP** machine.
+//!
+//! Every machine consumes the same annotated stream: the committed path
+//! with each instruction's exact register and memory producers.
 //!
 //! ```
 //! use fgstp_isa::{assemble, trace_program};
-//! use fgstp_mem::HierarchyConfig;
-//! use fgstp_ooo::{run_single, CoreConfig};
+//! use fgstp_ooo::build_exec_stream;
 //!
 //! let p = assemble("li x1, 3\nadd x2, x1, x1\nhalt")?;
 //! let t = trace_program(&p, 1000)?;
-//! let r = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-//! assert_eq!(r.committed, 2);
+//! let stream = build_exec_stream(t.insts());
+//! assert_eq!(stream.len(), 2);
+//! // `add` reads x1 (both sources) from the `li` at global sequence 0.
+//! let producers: Vec<u64> = stream[1].deps.iter().flatten().map(|d| d.producer).collect();
+//! assert_eq!(producers, [0, 0]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -35,17 +40,17 @@ pub mod config;
 pub mod core;
 pub mod env;
 pub mod fu;
-pub mod machine;
 pub mod pipeview;
+pub mod result;
 pub mod stream;
 pub mod warm;
 
 pub use accounting::{classify_single, stat_delta, StatDelta};
 pub use config::{ClusterConfig, CoreConfig, FuCounts, FuLatencies, MemDepPolicy};
 pub use core::{CommitStall, Core, CoreStats};
-pub use env::{ExecEnv, FetchGate, LoadGate, Prediction, PredictorState, SingleEnv};
+pub use env::{ExecEnv, FetchGate, LoadGate, Prediction, PredictorState};
 pub use fu::FuPool;
-pub use machine::{run_single, run_single_warm, RunResult, WarmRun};
 pub use pipeview::{InstEvents, PipeRecorder};
+pub use result::{RunResult, WarmRun};
 pub use stream::{build_exec_stream, ExecInst, MemDep, SrcDep};
 pub use warm::WarmState;

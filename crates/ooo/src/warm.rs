@@ -5,9 +5,9 @@
 //! long-lived microarchitectural state (caches and branch predictors)
 //! updates — with short *detailed* windows run on the full timing machine.
 //! [`WarmState`] is the handoff between the two: the warming loop feeds it
-//! one [`DynInst`] at a time, and the machine drivers
-//! ([`crate::run_single_warm`], `fgstp::run_fgstp_warm`) enter mid-trace
-//! with its caches, predictor and architectural-register snapshot.
+//! one [`DynInst`] at a time, and the machine driver
+//! (`fgstp::run_fgstp_warm`, for every core count) enters mid-trace with
+//! its caches, predictor and architectural-register snapshot.
 
 use fgstp_isa::reg::NUM_REGS;
 use fgstp_isa::{DynInst, InstClass};

@@ -18,7 +18,8 @@
 //!    immutable byte-for-byte copy of its pre-window machine state.
 //! 2. **Execution** ([`run_plan`]): each window deserializes its own
 //!    private warm state and runs `warmup + detail` instructions on the
-//!    full [`TimingModel`] (single-core or N-core Fg-STP). The first
+//!    full timing machine (an [`FgstpConfig`]: one core for the single
+//!    and fused baselines, N cores for Fg-STP). The first
 //!    [`SampleConfig::warmup`] commits absorb the cold-pipeline ramp and
 //!    their cycles are discarded; the remaining [`SampleConfig::detail`]
 //!    instructions are the **measurement**.
@@ -38,19 +39,20 @@
 //! wall-clock.
 //!
 //! ```
+//! use fgstp::FgstpConfig;
 //! use fgstp_isa::trace_program;
 //! use fgstp_ooo::CoreConfig;
 //! use fgstp_mem::HierarchyConfig;
-//! use fgstp_sampling::{run_plan, SampleConfig, SamplePlan, TimingModel};
+//! use fgstp_sampling::{run_plan, SampleConfig, SamplePlan};
 //! use fgstp_telemetry::NullSink;
 //! use fgstp_workloads::{by_name, Scale};
 //!
 //! let w = by_name("hmmer_dp", Scale::Test).unwrap();
 //! let trace = trace_program(w.program(), Scale::Test.trace_budget()).unwrap();
 //! let scfg = SampleConfig { interval: 2_000, warmup: 300, detail: 150 };
-//! let (cfg, hcfg) = (CoreConfig::small(), HierarchyConfig::small(1));
-//! let plan = SamplePlan::plan(trace.insts().iter().copied(), &cfg, &hcfg, &scfg);
-//! let run = run_plan(&plan, TimingModel::Single(&cfg), &hcfg, None, &mut NullSink);
+//! let (cfg, hcfg) = (FgstpConfig::single(CoreConfig::small()), HierarchyConfig::small(1));
+//! let plan = SamplePlan::plan(trace.insts().iter().copied(), &cfg.core, &hcfg, &scfg);
+//! let run = run_plan(&plan, &cfg, &hcfg, None, &mut NullSink);
 //! assert!(run.detail_reduction() > 2.0);
 //! assert!(run.est_cycles() > 0.0);
 //! ```
@@ -62,7 +64,7 @@ use std::collections::VecDeque;
 use fgstp::{run_fgstp_warm, FgstpConfig};
 use fgstp_isa::DynInst;
 use fgstp_mem::{HierarchyConfig, HierarchyStats};
-use fgstp_ooo::{run_single_warm, CoreConfig, WarmRun, WarmState};
+use fgstp_ooo::{CoreConfig, WarmRun, WarmState};
 use fgstp_telemetry::{CycleSink, NullSink};
 
 pub use stats::{geomean_estimate, Estimate, Z95};
@@ -528,58 +530,24 @@ impl SampledRun {
     }
 }
 
-/// The timing model a plan's detailed windows execute on.
-#[derive(Debug, Clone, Copy)]
-pub enum TimingModel<'a> {
-    /// A single core, or a fused Core Fusion core.
-    Single(&'a CoreConfig),
-    /// The N-core Fg-STP machine.
-    Fgstp(&'a FgstpConfig),
-}
-
-impl TimingModel<'_> {
-    /// The per-core configuration the model's live-points are warmed with.
-    pub fn core(&self) -> &CoreConfig {
-        match self {
-            TimingModel::Single(cfg) => cfg,
-            TimingModel::Fgstp(cfg) => &cfg.core,
-        }
-    }
-
-    /// Cores the model occupies.
-    pub fn cores(&self) -> usize {
-        match self {
-            TimingModel::Single(_) => 1,
-            TimingModel::Fgstp(cfg) => cfg.num_cores,
-        }
-    }
-
-    /// Runs one window on a private deserialized copy of its live-point.
-    /// Pure: no shared state is touched, so any number of windows may run
-    /// concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the live-point does not deserialize for this machine
-    /// shape — impossible for plan-produced jobs, and snapshot-replayed
-    /// jobs are validated up front by [`SnapshotData::validate`].
-    fn run_window<S: CycleSink>(
-        &self,
-        job: &WindowJob,
-        hcfg: &HierarchyConfig,
-        sink: &mut S,
-    ) -> WarmRun {
-        let mut warm = WarmState::from_state_bytes(self.core(), hcfg, &job.state)
-            .expect("live-point matches the plan's machine shape");
-        match self {
-            TimingModel::Single(cfg) => {
-                run_single_warm(&job.insts, cfg, &mut warm, job.measure_from, sink)
-            }
-            TimingModel::Fgstp(cfg) => {
-                run_fgstp_warm(&job.insts, cfg, &mut warm, job.measure_from, sink).0
-            }
-        }
-    }
+/// Runs one window of a plan on a private deserialized copy of its
+/// live-point. Pure: no shared state is touched, so any number of windows
+/// may run concurrently.
+///
+/// # Panics
+///
+/// Panics if the live-point does not deserialize for this machine shape —
+/// impossible for plan-produced jobs, and snapshot-replayed jobs are
+/// validated up front by [`SnapshotData::validate`].
+fn run_window<S: CycleSink>(
+    job: &WindowJob,
+    cfg: &FgstpConfig,
+    hcfg: &HierarchyConfig,
+    sink: &mut S,
+) -> WarmRun {
+    let mut warm = WarmState::from_state_bytes(&cfg.core, hcfg, &job.state)
+        .expect("live-point matches the plan's machine shape");
+    run_fgstp_warm(&job.insts, cfg, &mut warm, job.measure_from, sink).0
 }
 
 /// A pure per-window runner, handed to a [`WindowPool`].
@@ -591,8 +559,9 @@ pub type WindowExec<'a> = &'a (dyn Fn(&WindowJob) -> WarmRun + Sync);
 /// implementation that preserves order is bit-identical.
 pub type WindowPool<'a> = &'a (dyn Fn(&[WindowJob], WindowExec) -> Vec<WarmRun> + Sync);
 
-/// Executes a plan's detailed windows on `model` over hierarchies shaped
-/// by `hcfg`, and merges them into a [`SampledRun`] in schedule order.
+/// Executes a plan's detailed windows on the machine `cfg` over
+/// hierarchies shaped by `hcfg`, and merges them into a [`SampledRun`] in
+/// schedule order.
 ///
 /// An enabled `sink` (e.g. a CPI sink, whose stacks then cover every
 /// detailed window, warmup cycles included) is shared, so the windows run
@@ -603,10 +572,10 @@ pub type WindowPool<'a> = &'a (dyn Fn(&[WindowJob], WindowExec) -> Vec<WarmRun> 
 ///
 /// # Panics
 ///
-/// Panics if `hcfg` does not describe `model`'s cores.
+/// Panics if `hcfg` does not describe `cfg`'s cores.
 pub fn run_plan<S: CycleSink>(
     plan: &SamplePlan,
-    model: TimingModel,
+    cfg: &FgstpConfig,
     hcfg: &HierarchyConfig,
     pool: Option<WindowPool>,
     sink: &mut S,
@@ -614,17 +583,17 @@ pub fn run_plan<S: CycleSink>(
     let results: Vec<WarmRun> = if S::ENABLED {
         plan.jobs
             .iter()
-            .map(|job| model.run_window(job, hcfg, sink))
+            .map(|job| run_window(job, cfg, hcfg, sink))
             .collect()
     } else {
-        let run = |job: &WindowJob| model.run_window(job, hcfg, &mut NullSink);
+        let run = |job: &WindowJob| run_window(job, cfg, hcfg, &mut NullSink);
         match pool {
             Some(pool) => pool(&plan.jobs, &run),
             None => plan.jobs.iter().map(run).collect(),
         }
     };
     assert_eq!(results.len(), plan.jobs.len(), "one result per window");
-    let cores = model.cores() as u64;
+    let cores = cfg.num_cores as u64;
     let mut intervals = Vec::with_capacity(plan.jobs.len());
     let mut measured_insts = 0u64;
     let mut detailed_insts = 0u64;
@@ -639,7 +608,7 @@ pub fn run_plan<S: CycleSink>(
         detailed_insts += job.insts.len() as u64;
         detail_core_cycles += wr.result.cycles * cores;
     }
-    let final_warm = WarmState::from_state_bytes(model.core(), hcfg, &plan.final_state)
+    let final_warm = WarmState::from_state_bytes(&cfg.core, hcfg, &plan.final_state)
         .expect("final state matches the plan's machine shape");
     let cpis: Vec<f64> = intervals.iter().map(IntervalMeasure::cpi).collect();
     SampledRun {
@@ -661,8 +630,8 @@ pub fn run_plan<S: CycleSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgstp::run_fgstp;
     use fgstp_isa::{assemble, trace_program, Trace};
-    use fgstp_ooo::run_single;
     use fgstp_telemetry::CpiSink;
 
     fn loop_trace(iters: u64) -> Trace {
@@ -692,22 +661,31 @@ mod tests {
         }
     }
 
-    /// Plans and runs a sampled run of `t` on `model`, through `sink`.
+    /// Plans and runs a sampled run of `t` on `cfg`, through `sink`.
     fn sample_with<S: CycleSink>(
         t: &Trace,
-        model: TimingModel,
+        cfg: &FgstpConfig,
         hcfg: &HierarchyConfig,
         scfg: &SampleConfig,
         sink: &mut S,
     ) -> SampledRun {
-        let plan = SamplePlan::plan(t.insts().iter().copied(), model.core(), hcfg, scfg);
-        run_plan(&plan, model, hcfg, None, sink)
+        let plan = SamplePlan::plan(t.insts().iter().copied(), &cfg.core, hcfg, scfg);
+        run_plan(&plan, cfg, hcfg, None, sink)
+    }
+
+    /// One small core running alone.
+    fn single_small() -> FgstpConfig {
+        FgstpConfig::single(CoreConfig::small())
     }
 
     fn sample_small(t: &Trace, scfg: &SampleConfig) -> SampledRun {
-        let cfg = CoreConfig::small();
         let hcfg = HierarchyConfig::small(1);
-        sample_with(t, TimingModel::Single(&cfg), &hcfg, scfg, &mut NullSink)
+        sample_with(t, &single_small(), &hcfg, scfg, &mut NullSink)
+    }
+
+    /// A full-detail run of `t` on one small core.
+    fn full_small(t: &Trace) -> fgstp_ooo::RunResult {
+        run_fgstp(t.insts(), &single_small(), &HierarchyConfig::small(1)).0
     }
 
     fn plan_single(t: &Trace) -> SamplePlan {
@@ -744,7 +722,7 @@ mod tests {
     #[test]
     fn sampled_estimate_tracks_the_full_run_on_a_steady_loop() {
         let t = loop_trace(2_000);
-        let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+        let full = full_small(&t);
         let r = sample_small(&t, &scfg());
         let err = (r.est_cycles() - full.cycles as f64).abs() / full.cycles as f64;
         assert!(err < 0.05, "estimate off by {:.2}% ", err * 100.0);
@@ -754,7 +732,7 @@ mod tests {
     #[test]
     fn short_trace_degenerates_to_full_detail() {
         let t = loop_trace(10);
-        let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+        let full = full_small(&t);
         let r = sample_small(&t, &SampleConfig::default());
         assert_eq!(r.intervals.len(), 1);
         assert_eq!(r.detailed_insts, r.total_insts);
@@ -765,7 +743,7 @@ mod tests {
     #[test]
     fn branch_totals_cover_the_whole_trace() {
         let t = loop_trace(2_000);
-        let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+        let full = full_small(&t);
         let r = sample_small(&t, &scfg());
         assert_eq!(r.branches.0, full.branches.0, "every branch predicted once");
     }
@@ -773,10 +751,9 @@ mod tests {
     #[test]
     fn instrumented_stack_reconciles_with_detailed_cycles() {
         let t = loop_trace(2_000);
-        let cfg = CoreConfig::small();
         let hcfg = HierarchyConfig::small(1);
         let mut sink = CpiSink::new(1);
-        let r = sample_with(&t, TimingModel::Single(&cfg), &hcfg, &scfg(), &mut sink);
+        let r = sample_with(&t, &single_small(), &hcfg, &scfg(), &mut sink);
         let stack = sink.merged();
         stack.check_against(r.detail_core_cycles).unwrap();
         assert_eq!(stack.committed, r.detailed_insts);
@@ -785,19 +762,18 @@ mod tests {
     #[test]
     fn instrumented_cycles_match_the_uninstrumented_path() {
         let t = loop_trace(2_000);
-        let cfg = CoreConfig::small();
-        let fcfg = FgstpConfig::small();
-        for (model, hcfg) in [
-            (TimingModel::Single(&cfg), HierarchyConfig::small(1)),
-            (TimingModel::Fgstp(&fcfg), HierarchyConfig::small(2)),
+        for (cfg, hcfg) in [
+            (single_small(), HierarchyConfig::small(1)),
+            (FgstpConfig::small(), HierarchyConfig::small(2)),
         ] {
-            let plain = sample_with(&t, model, &hcfg, &scfg(), &mut NullSink);
-            let mut sink = CpiSink::new(model.cores());
-            let inst = sample_with(&t, model, &hcfg, &scfg(), &mut sink);
-            assert_eq!(inst.intervals, plain.intervals, "{model:?}");
+            let n = cfg.num_cores;
+            let plain = sample_with(&t, &cfg, &hcfg, &scfg(), &mut NullSink);
+            let mut sink = CpiSink::new(n);
+            let inst = sample_with(&t, &cfg, &hcfg, &scfg(), &mut sink);
+            assert_eq!(inst.intervals, plain.intervals, "{n} cores");
             assert_eq!(
                 inst.detail_core_cycles, plain.detail_core_cycles,
-                "{model:?}"
+                "{n} cores"
             );
         }
     }
@@ -808,7 +784,7 @@ mod tests {
         let cfg = FgstpConfig::small();
         let hcfg = HierarchyConfig::small(2);
         let mut sink = CpiSink::new(2);
-        let r = sample_with(&t, TimingModel::Fgstp(&cfg), &hcfg, &scfg(), &mut sink);
+        let r = sample_with(&t, &cfg, &hcfg, &scfg(), &mut sink);
         assert_eq!(r.total_insts, t.len() as u64);
         assert!(r.est_cycles() > 0.0);
         sink.merged().check_against(r.detail_core_cycles).unwrap();
@@ -820,7 +796,7 @@ mod tests {
         let single = sample_small(&t, &scfg());
         let fcfg = FgstpConfig::small();
         let hcfg = HierarchyConfig::small(2);
-        let fg = sample_with(&t, TimingModel::Fgstp(&fcfg), &hcfg, &scfg(), &mut NullSink);
+        let fg = sample_with(&t, &fcfg, &hcfg, &scfg(), &mut NullSink);
         let paired = fg.speedup_over(&single);
         let point = fg.est_speedup_over(&single);
         assert!(paired.mean > 0.0);
@@ -864,9 +840,9 @@ mod tests {
             let warm_plan = SamplePlan::plan_replay(t.insts().iter().copied(), snap, &scfg());
             assert_eq!(warm_plan.warmed_insts, 0, "replay does no warming");
             assert!(warm_plan.snapshot_hit);
-            let model = TimingModel::Single(&cfg);
-            let cold = run_plan(&cold_plan, model, &hcfg, None, &mut NullSink);
-            let warm = run_plan(&warm_plan, model, &hcfg, None, &mut NullSink);
+            let one = single_small();
+            let cold = run_plan(&cold_plan, &one, &hcfg, None, &mut NullSink);
+            let warm = run_plan(&warm_plan, &one, &hcfg, None, &mut NullSink);
             assert_eq!(fingerprint(&warm), fingerprint(&cold), "iters {iters}");
             assert_eq!(warm.est_cycles(), cold.est_cycles());
         }
@@ -894,11 +870,10 @@ mod tests {
     #[test]
     fn out_of_order_execution_merges_identically() {
         let t = loop_trace(2_000);
-        let cfg = CoreConfig::small();
         let hcfg = HierarchyConfig::small(1);
-        let model = TimingModel::Single(&cfg);
+        let one = single_small();
         let plan = plan_single(&t);
-        let serial = run_plan(&plan, model, &hcfg, None, &mut NullSink);
+        let serial = run_plan(&plan, &one, &hcfg, None, &mut NullSink);
         // Run windows back to front, then restore job order — simulating
         // an arbitrary pool completion order.
         let reversed = |jobs: &[WindowJob], run: WindowExec| {
@@ -907,7 +882,7 @@ mod tests {
             out.sort_by_key(|(i, _)| *i);
             out.into_iter().map(|(_, wr)| wr).collect()
         };
-        let shuffled = run_plan(&plan, model, &hcfg, Some(&reversed), &mut NullSink);
+        let shuffled = run_plan(&plan, &one, &hcfg, Some(&reversed), &mut NullSink);
         assert_eq!(fingerprint(&shuffled), fingerprint(&serial));
     }
 

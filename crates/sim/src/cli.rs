@@ -10,7 +10,9 @@
 //!   `trace_event` JSON timeline loadable in Perfetto / `chrome://tracing`;
 //! * `compare <workload> [scale]` — the paper's six machines side by side;
 //! * `pipeview <workload> [first..last]` — render the pipeline timeline of
-//!   a range of instructions on the small core.
+//!   a range of instructions on the small core;
+//! * `pipeview2 <workload> [first..last]` — the same on Fg-STP small, one
+//!   timeline per core under the partition summary.
 //!
 //! All functions return the output as a `String` so the logic is testable
 //! without capturing stdout (the only side effect is the `--chrome-trace`
@@ -18,7 +20,9 @@
 
 use std::fmt::Write as _;
 
-use fgstp_ooo::{run_single_warm, CoreConfig, PipeRecorder, WarmState};
+use fgstp::{run_fgstp_warm, FgstpConfig};
+use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::{CoreConfig, PipeRecorder, WarmState};
 use fgstp_sampling::SampleConfig;
 use fgstp_telemetry::{write_chrome_trace, NullSink, StallCategory};
 use fgstp_workloads::{by_name, suite, Scale};
@@ -303,27 +307,34 @@ pub fn compare(workload: &str, scale: Option<&str>) -> Result<String, CliError> 
 
 /// `pipeview <workload> [first..last]`: timeline on the small core.
 pub fn pipeview(workload: &str, range: Option<&str>) -> Result<String, CliError> {
-    let (from, to) = parse_range(range)?;
-    let w = find_workload(workload, Scale::Test)?;
-    let trace = Session::new().scale(Scale::Test).trace(&w);
-    let cfg = CoreConfig::small();
-    let mut warm = WarmState::new(&cfg, &fgstp_mem::HierarchyConfig::small(1));
-    let mut rec = PipeRecorder::with_limit(to);
-    run_single_warm(trace.insts(), &cfg, &mut warm, 0, &mut rec);
-    Ok(rec.render(trace.insts(), 0, from, to))
+    render_pipeview(workload, range, &FgstpConfig::single(CoreConfig::small()))
 }
 
 /// `pipeview2 <workload> [first..last]`: side-by-side per-core timeline of
 /// the Fg-STP machine, showing the partitioned execution (replica rows
 /// appear on every core holding a copy).
 pub fn pipeview2(workload: &str, range: Option<&str>) -> Result<String, CliError> {
+    render_pipeview(workload, range, &FgstpConfig::small())
+}
+
+/// The pipeline timeline of instructions `first..last` of `workload` at
+/// test scale on the machine `cfg` with small caches. One core shows its
+/// timeline alone; several show the partition summary, then one timeline
+/// per core.
+fn render_pipeview(
+    workload: &str,
+    range: Option<&str>,
+    cfg: &FgstpConfig,
+) -> Result<String, CliError> {
     let (from, to) = parse_range(range)?;
     let w = find_workload(workload, Scale::Test)?;
     let trace = Session::new().scale(Scale::Test).trace(&w);
-    let cfg = fgstp::FgstpConfig::small();
-    let mut warm = WarmState::new(&cfg.core, &fgstp_mem::HierarchyConfig::small(cfg.num_cores));
+    let mut warm = WarmState::new(&cfg.core, &HierarchyConfig::small(cfg.num_cores));
     let mut rec = PipeRecorder::with_limit(to);
-    let (_, stats) = fgstp::run_fgstp_warm(trace.insts(), &cfg, &mut warm, 0, &mut rec);
+    let (_, stats) = run_fgstp_warm(trace.insts(), cfg, &mut warm, 0, &mut rec);
+    if cfg.num_cores == 1 {
+        return Ok(rec.render(trace.insts(), 0, from, to));
+    }
     let per_core: Vec<String> = stats.partition.insts.iter().map(u64::to_string).collect();
     let mut out = format!(
         "partition: {} instructions, {} replicated, {} communications\n",

@@ -106,8 +106,8 @@ impl MachineKind {
         )
     }
 
-    /// Core configuration for the non-Fg-STP presets, or `None` for the
-    /// Fg-STP presets (which are driven by an [`FgstpConfig`]).
+    /// The core of the single-core and fused presets, or `None` for the
+    /// Fg-STP presets (whose cores come from their [`FgstpConfig`]).
     pub fn try_core_config(self) -> Option<CoreConfig> {
         match self {
             MachineKind::SingleSmall => Some(CoreConfig::small()),
@@ -122,7 +122,8 @@ impl MachineKind {
     }
 
     /// Fg-STP configuration for the Fg-STP presets, or `None` for the
-    /// presets driven by a plain [`CoreConfig`].
+    /// single-core and fused presets (which run on the one-core machine of
+    /// [`MachineKind::machine_config`]).
     pub fn try_fgstp_config(self) -> Option<FgstpConfig> {
         match self {
             MachineKind::FgstpSmall => Some(FgstpConfig::small()),
@@ -131,6 +132,14 @@ impl MachineKind {
             MachineKind::FgstpMedium4 => Some(FgstpConfig::medium().with_cores(4)),
             _ => None,
         }
+    }
+
+    /// The timing machine the preset runs on: its Fg-STP configuration,
+    /// or for the single-core and fused presets a one-core machine around
+    /// the preset's core ([`FgstpConfig::single`]).
+    pub fn machine_config(self) -> FgstpConfig {
+        self.try_fgstp_config()
+            .unwrap_or_else(|| FgstpConfig::single(self.core_config()))
     }
 
     /// Number of cores the preset's timing machine drives (1 for the
@@ -234,6 +243,17 @@ mod tests {
     #[should_panic(expected = "FgstpConfig")]
     fn core_config_rejects_fgstp_kinds() {
         MachineKind::FgstpSmall.core_config();
+    }
+
+    #[test]
+    fn every_preset_runs_on_a_machine_of_its_core_count() {
+        for k in MachineKind::WITH_SCALING {
+            let cfg = k.machine_config();
+            assert_eq!(cfg.num_cores, k.cores(), "{k}");
+            if !k.is_fgstp() {
+                assert_eq!(cfg.core, k.core_config(), "{k}");
+            }
+        }
     }
 
     #[test]

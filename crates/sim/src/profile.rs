@@ -7,9 +7,10 @@
 //! interval's IPC is computed from the commit cycles of its first and last
 //! instructions.
 
+use fgstp::{run_fgstp_warm, FgstpConfig};
 use fgstp_isa::DynInst;
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::{run_single_warm, CoreConfig, PipeRecorder, WarmState};
+use fgstp_ooo::{CoreConfig, PipeRecorder, WarmState};
 
 /// IPC time series over fixed instruction intervals.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +54,9 @@ impl PhaseProfile {
     }
 }
 
-/// Profiles `trace` on a single core described by `cfg`, with `interval`
-/// instructions per sample.
+/// Profiles `trace` on a single core described by `cfg` (the one-core
+/// machine, [`FgstpConfig::single`]), with `interval` instructions per
+/// sample.
 ///
 /// # Panics
 ///
@@ -67,7 +69,8 @@ pub fn profile_single(
 ) -> PhaseProfile {
     assert!(interval > 0, "interval must be positive");
     let mut rec = PipeRecorder::new();
-    run_single_warm(trace, cfg, &mut WarmState::new(cfg, hcfg), 0, &mut rec);
+    let one = FgstpConfig::single(cfg.clone());
+    run_fgstp_warm(trace, &one, &mut WarmState::new(cfg, hcfg), 0, &mut rec);
     let commits: Vec<u64> = rec.iter(0).filter_map(|(_, ev)| ev.commit).collect();
     profile_from_commits(&commits, interval)
 }

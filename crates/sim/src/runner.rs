@@ -5,11 +5,13 @@
 //! per-trace primitives the session is built from ([`run_on`],
 //! [`trace_workload`]) plus the result types.
 
-use fgstp::{run_corun, run_fgstp_warm, CoRunContention, CoRunPlan, CoRunProgram, FgstpStats};
+use fgstp::{
+    run_corun, run_fgstp_warm, CoRunContention, CoRunPlan, CoRunProgram, FgstpConfig, FgstpStats,
+};
 use fgstp_isa::{DynInst, Trace};
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::{run_single_warm, CoreConfig, RunResult, WarmState};
-use fgstp_sampling::{run_plan, SampleConfig, SamplePlan, SampledRun, TimingModel, WindowPool};
+use fgstp_ooo::{CoreConfig, RunResult, WarmState};
+use fgstp_sampling::{run_plan, SampleConfig, SamplePlan, SampledRun, WindowPool};
 use fgstp_telemetry::{CpiSink, CpiStack, CycleSink, Episode, NullSink};
 use fgstp_workloads::{Scale, Workload};
 
@@ -130,29 +132,20 @@ pub fn run_on_with_cores<S: CycleSink>(
     cores: Option<usize>,
     sink: &mut S,
 ) -> MachineRun {
-    let (result, fgstp) = if let Some(mut cfg) = kind.try_fgstp_config() {
-        if let Some(n) = cores {
-            cfg = cfg.with_cores(n);
-        }
-        let mut warm = WarmState::new(&cfg.core, &kind.hierarchy_for(cfg.num_cores));
-        let (run, stats) = run_fgstp_warm(trace, &cfg, &mut warm, 0, sink);
-        (run.result, Some(stats))
-    } else {
+    let mut cfg = kind.machine_config();
+    if let Some(n) = cores {
         assert!(
-            cores.is_none(),
+            kind.is_fgstp(),
             "--cores only applies to Fg-STP machines, not {kind}"
         );
-        let cfg = kind.core_config();
-        let mut warm = WarmState::new(&cfg, &kind.hierarchy_config());
-        (
-            run_single_warm(trace, &cfg, &mut warm, 0, sink).result,
-            None,
-        )
-    };
+        cfg = cfg.with_cores(n);
+    }
+    let mut warm = WarmState::new(&cfg.core, &kind.hierarchy_for(cfg.num_cores));
+    let (run, stats) = run_fgstp_warm(trace, &cfg, &mut warm, 0, sink);
     MachineRun {
         kind,
-        result,
-        fgstp,
+        result: run.result,
+        fgstp: kind.is_fgstp().then_some(stats),
         cpi: None,
         sampled: None,
         corun: None,
@@ -250,18 +243,15 @@ pub fn run_on_sampled(
     run_on_sampled_plan(kind, &plan, telemetry, None)
 }
 
-/// The functional-warming machine shape a preset samples with: the core
-/// configuration (an Fg-STP preset warms with its per-core config) and
-/// the hierarchy built for the preset's core count. Live-point snapshots
-/// are keyed on a fingerprint of this shape, so a preset change orphans
-/// its stored snapshots instead of replaying them on the wrong machine.
+/// The functional-warming machine shape a preset samples with: the
+/// machine's per-core configuration and the hierarchy built for its core
+/// count. Live-point snapshots are keyed on a fingerprint of this shape,
+/// so a preset change orphans its stored snapshots instead of replaying
+/// them on the wrong machine.
 pub fn warm_shape(kind: MachineKind) -> (CoreConfig, HierarchyConfig) {
-    if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        (cfg.core, hcfg)
-    } else {
-        (kind.core_config(), kind.hierarchy_config())
-    }
+    let cfg = kind.machine_config();
+    let hcfg = kind.hierarchy_for(cfg.num_cores);
+    (cfg.core, hcfg)
 }
 
 /// Plans a sampled run of `kind` over a trace: one pass of continuous
@@ -289,42 +279,27 @@ pub fn run_on_sampled_plan(
     telemetry: bool,
     exec: Option<WindowPool>,
 ) -> MachineRun {
-    match kind.try_fgstp_config() {
-        Some(cfg) => {
-            let hcfg = kind.hierarchy_for(cfg.num_cores);
-            run_sampled(kind, TimingModel::Fgstp(&cfg), &hcfg, plan, telemetry, exec)
-        }
-        None => {
-            let ccfg = kind.core_config();
-            let hcfg = kind.hierarchy_config();
-            run_sampled(
-                kind,
-                TimingModel::Single(&ccfg),
-                &hcfg,
-                plan,
-                telemetry,
-                exec,
-            )
-        }
-    }
+    let cfg = kind.machine_config();
+    let hcfg = kind.hierarchy_for(cfg.num_cores);
+    run_sampled(kind, &cfg, &hcfg, plan, telemetry, exec)
 }
 
-/// Executes `plan` on `model` (see [`run_on_sampled_plan`]) and wraps the
-/// [`SampledRun`] in the standard [`MachineRun`] projection: `result.cycles`
-/// is the rounded CPI-estimate projection, `committed` the full trace
-/// length.
+/// Executes `plan` on the machine `cfg` (see [`run_on_sampled_plan`]) and
+/// wraps the [`SampledRun`] in the standard [`MachineRun`] projection:
+/// `result.cycles` is the rounded CPI-estimate projection, `committed` the
+/// full trace length.
 fn run_sampled(
     kind: MachineKind,
-    model: TimingModel,
+    cfg: &FgstpConfig,
     hcfg: &HierarchyConfig,
     plan: &SamplePlan,
     telemetry: bool,
     exec: Option<WindowPool>,
 ) -> MachineRun {
-    let mut sink = telemetry.then(|| CpiSink::new(model.cores()));
+    let mut sink = telemetry.then(|| CpiSink::new(cfg.num_cores));
     let sampled = match &mut sink {
-        Some(sink) => run_plan(plan, model, hcfg, exec, sink),
-        None => run_plan(plan, model, hcfg, exec, &mut NullSink),
+        Some(sink) => run_plan(plan, cfg, hcfg, exec, sink),
+        None => run_plan(plan, cfg, hcfg, exec, &mut NullSink),
     };
     let result = RunResult {
         cycles: sampled.est_cycles().round() as u64,
@@ -397,8 +372,7 @@ pub fn run_on_sampled_corun_isolated_plans(
         .map(|(plan, &n)| {
             let cfg = base.clone().with_cores(n);
             let hcfg = kind.hierarchy_for(n);
-            let model = TimingModel::Fgstp(&cfg);
-            (run_sampled(kind, model, &hcfg, plan, false, exec), n)
+            (run_sampled(kind, &cfg, &hcfg, plan, false, exec), n)
         })
         .collect();
     let total_cycles = runs.iter().map(|(r, _)| r.result.cycles).max().unwrap_or(0);

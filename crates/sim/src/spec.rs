@@ -29,6 +29,7 @@
 
 use std::sync::OnceLock;
 
+use fgstp::partition::MAX_PARTITION_CORES;
 use fgstp_sampling::SampleConfig;
 use fgstp_workloads::{suite, Scale};
 
@@ -440,6 +441,12 @@ impl ExperimentSpec {
                     "--cores needs at least one core",
                 ));
             }
+            if n > MAX_PARTITION_CORES {
+                return Err(SpecError::new(
+                    SpecErrorKind::Value,
+                    format!("--cores={n} exceeds the maximum of {MAX_PARTITION_CORES} cores"),
+                ));
+            }
             if let Some(k) = self.machines.iter().find(|k| !k.is_fgstp()) {
                 return Err(SpecError::new(
                     SpecErrorKind::Conflict,
@@ -529,10 +536,13 @@ impl ExperimentSpec {
                     ));
                 }
             }
-            if c.total_cores() > 64 {
+            if c.total_cores() > MAX_PARTITION_CORES {
                 return Err(SpecError::new(
                     SpecErrorKind::Value,
-                    format!("co-run asks for {} cores (max 64)", c.total_cores()),
+                    format!(
+                        "co-run asks for {} cores (max {MAX_PARTITION_CORES})",
+                        c.total_cores()
+                    ),
                 ));
             }
         }
@@ -859,6 +869,20 @@ mod tests {
             parse_machine_set("nope").unwrap_err().kind,
             SpecErrorKind::UnknownMachine
         );
+    }
+
+    #[test]
+    fn cores_beyond_the_partitioner_limit_are_a_bad_value() {
+        let at_limit = format!("--cores={MAX_PARTITION_CORES}");
+        assert!(ExperimentSpec::from_args(&["--machines=fgstp-small", &at_limit]).is_ok());
+        let over = format!("--cores={}", MAX_PARTITION_CORES + 1);
+        let e = ExperimentSpec::from_args(&["--machines=fgstp-small", &over]).unwrap_err();
+        assert_eq!(e.kind, SpecErrorKind::Value, "{e:?}");
+        assert!(e.message.contains("65"), "{e:?}");
+        // The same limit bounds a co-run's total.
+        let corun = format!("--corun=perl_hash:{MAX_PARTITION_CORES},mcf_pointer:1");
+        let e = ExperimentSpec::from_args(&["--machines=fgstp-small", &corun]).unwrap_err();
+        assert_eq!(e.kind, SpecErrorKind::Value, "{e:?}");
     }
 
     #[test]

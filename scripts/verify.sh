@@ -17,11 +17,33 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "== service crate tests (client framing, TCP_NODELAY, loopback latency)"
-cargo test -q -p fgstp-service
-
-echo "== telemetry invariants (cycle accounting reconciles exactly)"
-cargo test -q --test telemetry
+echo "== figures: E1, E2, E12, E13, E17 at small regenerate byte-identical to results/"
+# Every single-core and fused baseline these figures divide by runs on the
+# one-core Fg-STP machine; any timing drift shows up as a diff here.
+cargo build --release -q -p fgstp-bench
+# The lines under "### <name>" in $2, up to the next "###" header.
+section() {
+  awk -v name="### $1" '$0 == name { p = 1; next } /^### / { p = 0 } p' "$2"
+}
+figure_matches() {
+  cmp -s "$2" "$3" || {
+    echo "$1 at small no longer matches its record:"
+    diff "$3" "$2" || true
+    exit 1
+  }
+}
+for exp in exp_e1_small_speedup exp_e2_medium_speedup; do
+  ./target/release/$exp small | grep -v '^$' > target/figure_$exp.txt
+  section $exp results/experiments_small.txt | grep -v '^$' > target/figure_$exp.rec
+  figure_matches $exp target/figure_$exp.txt target/figure_$exp.rec
+done
+./target/release/exp_e12_cpi_stack small > target/figure_e12.txt
+awk 'p; /^###/ { p = 1 }' results/experiments_e12_small.txt > target/figure_e12.rec
+figure_matches E12 target/figure_e12.txt target/figure_e12.rec
+./target/release/exp_e13_core_scaling small > target/figure_e13.txt
+figure_matches E13 target/figure_e13.txt results/experiments_e13_small.txt
+./target/release/exp_e17_rv small > target/figure_e17.txt
+figure_matches E17 target/figure_e17.txt results/experiments_e17_small.txt
 
 echo "== sampled-simulation smoke (E14 at test scale)"
 cargo run --release -q -p fgstp-bench --bin exp_e14_sampling -- test --no-cache

@@ -21,7 +21,7 @@
 //! | [`mem`] | `fgstp-mem` | caches, MSHRs, prefetcher, two-level hierarchy |
 //! | [`bpred`] | `fgstp-bpred` | direction predictors, BTB, return stack |
 //! | [`ooo`] | `fgstp-ooo` | the cycle-level out-of-order core model |
-//! | [`core`] | `fgstp` | the paper's contribution: partitioner, queues, dual-core machine |
+//! | [`core`] | `fgstp` | the paper's contribution: partitioner, queues, the N-core machine (one core runs the baselines) |
 //! | [`sampling`] | `fgstp-sampling` | SMARTS-style sampled simulation with functional warming |
 //! | [`sim`] | `fgstp-sim` | machine presets, suite runner, report tables |
 //! | [`telemetry`] | `fgstp-telemetry` | cycle accounting, CPI stacks, JSON, Chrome-trace export |
@@ -64,7 +64,7 @@ pub mod prelude {
     pub use fgstp::{run_fgstp, FgstpConfig, PartitionConfig, PartitionPolicy};
     pub use fgstp_isa::{assemble, trace_program, Machine, Program};
     pub use fgstp_mem::HierarchyConfig;
-    pub use fgstp_ooo::{run_single, CoreConfig};
+    pub use fgstp_ooo::CoreConfig;
     pub use fgstp_sampling::{Estimate, SampleConfig, SampledRun};
     pub use fgstp_sim::{
         geomean, run_on, run_on_instrumented, run_on_sampled, ExperimentSpec, MachineKind, RunPlan,

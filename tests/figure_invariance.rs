@@ -1,10 +1,13 @@
 //! Figure invariance: the N-core generalization is behavior-preserving at
-//! `num_cores = 2`.
+//! `num_cores = 2`, and the one-core machine is the single and fused cores.
 //!
-//! The cycle counts below were captured from the dual-core implementation
-//! *before* the N-core refactor (Scale::Test, default configurations) and
-//! pin E1 (small-CMP speedup comparison) and E3 (communication-latency
-//! sweep) bit-exactly. Any timing drift in the generalized steering,
+//! The E1 and E3 cycle counts below were captured from the dual-core
+//! implementation *before* the N-core refactor (Scale::Test, default
+//! configurations) and pin E1 (small-CMP speedup comparison) and E3
+//! (communication-latency sweep) bit-exactly. The E2 counts (medium-CMP
+//! comparison) were captured while the single and fused cores still ran
+//! on a cycle driver of their own, before they moved onto the one-core
+//! Fg-STP machine. Any timing drift in the generalized steering,
 //! replication, communication-fabric or commit logic fails here with the
 //! exact workload and knob that moved.
 
@@ -32,6 +35,28 @@ const E1_SMALL_CYCLES: [(&str, u64, u64, u64); 18] = [
     ("soplex_sparse", 21445, 15869, 16539),
     ("povray_trace", 24058, 18565, 15967),
     ("bwaves_block", 8978, 6018, 6292),
+];
+
+/// E2 at Scale::Test: (workload, single-medium, fused-medium, fgstp-medium).
+const E2_MEDIUM_CYCLES: [(&str, u64, u64, u64); 18] = [
+    ("perl_hash", 42540, 54655, 36102),
+    ("bzip_rle", 18397, 22359, 18165),
+    ("gcc_expr", 51070, 67821, 48049),
+    ("mcf_pointer", 124751, 124757, 124751),
+    ("gobmk_board", 39344, 47985, 38465),
+    ("hmmer_dp", 2942, 1949, 1941),
+    ("sjeng_eval", 40453, 47706, 38598),
+    ("libq_stream", 5770, 3734, 3790),
+    ("h264_sad", 4097, 2979, 2764),
+    ("astar_grid", 25913, 29991, 23387),
+    ("xalanc_tree", 11598, 10525, 7991),
+    ("milc_su3", 13756, 15661, 16842),
+    ("namd_force", 11864, 9277, 6399),
+    ("lbm_stencil", 8694, 6672, 6778),
+    ("omnetpp_queue", 20132, 24303, 19449),
+    ("soplex_sparse", 9743, 7418, 8269),
+    ("povray_trace", 16932, 10152, 10076),
+    ("bwaves_block", 5097, 4467, 3746),
 ];
 
 /// E3 at Scale::Test: (queue latency, fgstp-small cycles in suite order).
@@ -87,20 +112,29 @@ const E3_LATENCY_CYCLES: [(u64, [u64; 18]); 7] = [
     ),
 ];
 
-#[test]
-fn e1_small_cmp_cycles_match_the_dual_core_implementation() {
+/// Runs the suite on a CMP comparison's three machines and checks every
+/// cycle count against `table`.
+fn assert_cmp_cycles(machines: [MachineKind; 3], table: &[(&str, u64, u64, u64); 18]) {
     let session = Session::new().scale(Scale::Test);
     let traced = session.suite_traces();
-    assert_eq!(traced.len(), E1_SMALL_CYCLES.len(), "suite changed size");
-    for ((w, t), &(name, single, fused, fgstp)) in traced.iter().zip(&E1_SMALL_CYCLES) {
+    assert_eq!(traced.len(), table.len(), "suite changed size");
+    for ((w, t), &(name, single, fused, fgstp)) in traced.iter().zip(table) {
         assert_eq!(w.name, name, "suite order changed");
-        let s = run_on(MachineKind::SingleSmall, t.insts());
-        let f = run_on(MachineKind::FusedSmall, t.insts());
-        let g = run_on(MachineKind::FgstpSmall, t.insts());
-        assert_eq!(s.result.cycles, single, "{name}: single-small drifted");
-        assert_eq!(f.result.cycles, fused, "{name}: fused-small drifted");
-        assert_eq!(g.result.cycles, fgstp, "{name}: fgstp-small drifted");
+        for (kind, expected) in machines.into_iter().zip([single, fused, fgstp]) {
+            let r = run_on(kind, t.insts());
+            assert_eq!(r.result.cycles, expected, "{name}: {kind} drifted");
+        }
     }
+}
+
+#[test]
+fn e1_small_cmp_cycles_match_the_dual_core_implementation() {
+    assert_cmp_cycles(MachineKind::SMALL_CMP, &E1_SMALL_CYCLES);
+}
+
+#[test]
+fn e2_medium_cmp_cycles_match_the_two_driver_implementation() {
+    assert_cmp_cycles(MachineKind::MEDIUM_CMP, &E2_MEDIUM_CYCLES);
 }
 
 #[test]

@@ -81,61 +81,6 @@ fn fgstp_stats_are_internally_consistent() {
 }
 
 #[test]
-fn degenerate_one_core_fgstp_matches_the_single_core() {
-    // The N-core machine collapsed to one core: no partitioning decisions,
-    // no replication, no communication. The shared-frontend prepass and
-    // the global completion frontier reduce to the local schedule, so the
-    // run is the plain single-core pipeline exactly, on every core shape
-    // the presets use: same cycles, same per-core and memory statistics.
-    use fg_stp_repro::core::{run_fgstp, FgstpConfig};
-    use fg_stp_repro::ooo::run_single;
-    let traces: Vec<_> = ["hmmer_dp", "perl_hash", "mcf_pointer"]
-        .into_iter()
-        .map(|name| {
-            (
-                name,
-                trace_workload(&by_name(name, Scale::Test).unwrap(), Scale::Test),
-            )
-        })
-        .collect();
-    for kind in [
-        MachineKind::SingleSmall,
-        MachineKind::SingleMedium,
-        MachineKind::FusedSmall,
-        MachineKind::FusedMedium,
-    ] {
-        let core = kind.core_config();
-        let hcfg = kind.hierarchy_config();
-        let cfg = FgstpConfig {
-            core: core.clone(),
-            ..FgstpConfig::small().with_cores(1)
-        };
-        for (name, t) in &traces {
-            let single = run_single(t.insts(), &core, &hcfg);
-            let (r, s) = run_fgstp(t.insts(), &cfg, &hcfg);
-            assert_eq!(
-                s.comm_total().sends,
-                0,
-                "{kind} {name}: one core never sends"
-            );
-            assert_eq!(s.partition.replicated, 0, "{kind} {name}");
-            assert_eq!(s.partition.cross_reg_deps, 0, "{kind} {name}");
-            assert_eq!(r.cycles, single.cycles, "{kind} {name}");
-            assert_eq!(r.committed, single.committed, "{kind} {name}");
-            assert_eq!(r.branches, single.branches, "{kind} {name}");
-            assert_eq!(r.cores, single.cores, "{kind} {name}");
-            // HierarchyStats has no PartialEq; its Debug form shows
-            // every counter.
-            assert_eq!(
-                format!("{:?}", r.mem),
-                format!("{:?}", single.mem),
-                "{kind} {name}"
-            );
-        }
-    }
-}
-
-#[test]
 fn both_cores_fetch_and_commit_on_balanced_code() {
     let r = run("libq_stream", MachineKind::FgstpSmall);
     for (i, c) in r.result.cores.iter().enumerate() {

@@ -11,12 +11,18 @@
 //! change that silently makes dependent loads free or issue width
 //! unlimited fails here immediately.
 
+use fg_stp_repro::ooo::RunResult;
 use fg_stp_repro::prelude::*;
+
+/// `t` on one core of shape `core`, running alone.
+fn run_alone(t: &fg_stp_repro::isa::Trace, core: CoreConfig, hcfg: &HierarchyConfig) -> RunResult {
+    run_fgstp(t.insts(), &FgstpConfig::single(core), hcfg).0
+}
 
 fn cycles_of(src: &str) -> (u64, u64) {
     let p = assemble(src).unwrap();
     let t = trace_program(&p, 2_000_000).unwrap();
-    let r = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+    let r = run_alone(&t, CoreConfig::small(), &HierarchyConfig::small(1));
     assert_eq!(r.committed, t.len() as u64);
     (r.cycles, r.committed)
 }
@@ -170,12 +176,8 @@ fn medium_core_reaches_higher_ilp_than_small() {
     let src = looped(&body, 2000);
     let p = assemble(&src).unwrap();
     let t = trace_program(&p, 2_000_000).unwrap();
-    let small = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-    let medium = run_single(
-        t.insts(),
-        &CoreConfig::medium(),
-        &HierarchyConfig::medium(1),
-    );
+    let small = run_alone(&t, CoreConfig::small(), &HierarchyConfig::small(1));
+    let medium = run_alone(&t, CoreConfig::medium(), &HierarchyConfig::medium(1));
     assert!(small.ipc() <= 2.0 + 1e-9);
     assert!(
         medium.ipc() > 2.2,

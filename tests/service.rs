@@ -305,6 +305,33 @@ fn malformed_and_unsatisfiable_requests_get_structured_errors() {
 }
 
 #[test]
+fn a_core_count_beyond_the_partitioner_limit_is_refused_before_queueing() {
+    let (addr, queue, server) = boot(1);
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut w = stream.try_clone().expect("clone");
+    let mut r = BufReader::new(stream);
+    w.write_all(
+        b"{\"cmd\": \"submit\", \"args\": [\"test\", \"--workloads=perl_hash\", \
+          \"--machines=fgstp-small\", \"--cores=65\"]}\n",
+    )
+    .expect("write");
+    let mut reply = String::new();
+    r.read_line(&mut reply).expect("read");
+    let v = Json::parse(reply.trim_end()).expect("reply parses");
+    let kind = v
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("bad-value"), "{reply}");
+    assert!(
+        queue.status(None).expect("status").is_empty(),
+        "no job queued"
+    );
+    assert_eq!(queue.counter("service.submitted"), 0);
+    shutdown_and_join(addr, server);
+}
+
+#[test]
 fn queue_capacity_pushes_back_with_a_structured_error() {
     let daemon = Daemon::bind(DaemonConfig {
         // No workers: jobs stay pending so the queue genuinely fills.

@@ -7,7 +7,7 @@
 //! optimization that changed warm-entry timing (ready-set filtering, the
 //! completion wheel, scratch reuse) would show up here as a cycle drift.
 
-use fg_stp_repro::ooo::{run_single, run_single_warm, WarmState};
+use fg_stp_repro::ooo::WarmState;
 use fg_stp_repro::prelude::*;
 use fg_stp_repro::telemetry::NullSink;
 use fg_stp_repro::workloads::{suite, Scale};
@@ -28,20 +28,44 @@ fn traced(name: &str) -> Vec<fg_stp_repro::isa::DynInst> {
         .to_vec()
 }
 
-#[test]
-fn single_core_warm_entry_matches_cold_run() {
-    let cfg = CoreConfig::small();
-    let hcfg = HierarchyConfig::small(1);
+/// A warm entry with fresh state and `measure_from = 0` on the machine
+/// `cfg` reproduces the cold run of every kernel exactly.
+fn assert_warm_entry_matches_cold_run(label: &str, cfg: &FgstpConfig, hcfg: &HierarchyConfig) {
     for name in KERNELS {
         let trace = traced(name);
-        let cold = run_single(&trace, &cfg, &hcfg);
-        let mut warm = WarmState::new(&cfg, &hcfg);
-        let wr = run_single_warm(&trace, &cfg, &mut warm, 0, &mut NullSink);
-        assert_eq!(wr.result.cycles, cold.cycles, "{name}: cycles");
-        assert_eq!(wr.result.committed, cold.committed, "{name}: committed");
-        assert_eq!(wr.result.branches, cold.branches, "{name}: branches");
-        assert_eq!(wr.warmup_cycles, 0, "{name}: nothing to discard");
-        assert_eq!(wr.measured_cycles(), cold.cycles, "{name}");
+        let (cold, cold_stats) = run_fgstp(&trace, cfg, hcfg);
+        let mut warm = WarmState::new(&cfg.core, hcfg);
+        let (wr, warm_stats) = run_fgstp_warm(&trace, cfg, &mut warm, 0, &mut NullSink);
+        assert_eq!(wr.result.cycles, cold.cycles, "{name}/{label}: cycles");
+        assert_eq!(
+            wr.result.committed, cold.committed,
+            "{name}/{label}: committed"
+        );
+        assert_eq!(
+            wr.result.branches, cold.branches,
+            "{name}/{label}: branches"
+        );
+        assert_eq!(wr.warmup_cycles, 0, "{name}/{label}: nothing to discard");
+        assert_eq!(wr.measured_cycles(), cold.cycles, "{name}/{label}");
+        assert_eq!(
+            warm_stats.partition.insts, cold_stats.partition.insts,
+            "{name}/{label}: same partition"
+        );
+    }
+}
+
+#[test]
+fn single_core_warm_entry_matches_cold_run() {
+    // The one-core machine on every core shape the single and fused
+    // presets use.
+    for kind in [
+        MachineKind::SingleSmall,
+        MachineKind::SingleMedium,
+        MachineKind::FusedSmall,
+        MachineKind::FusedMedium,
+    ] {
+        let cfg = FgstpConfig::single(kind.core_config());
+        assert_warm_entry_matches_cold_run(kind.label(), &cfg, &kind.hierarchy_config());
     }
 }
 
@@ -49,20 +73,7 @@ fn single_core_warm_entry_matches_cold_run() {
 fn fgstp_warm_entry_matches_cold_run_at_2_and_4_cores() {
     for n in [2usize, 4] {
         let cfg = FgstpConfig::small().with_cores(n);
-        let hcfg = HierarchyConfig::small(n);
-        for name in KERNELS {
-            let trace = traced(name);
-            let (cold, cold_stats) = run_fgstp(&trace, &cfg, &hcfg);
-            let mut warm = WarmState::new(&cfg.core, &hcfg);
-            let (wr, warm_stats) = run_fgstp_warm(&trace, &cfg, &mut warm, 0, &mut NullSink);
-            assert_eq!(wr.result.cycles, cold.cycles, "{name}/{n}: cycles");
-            assert_eq!(wr.result.committed, cold.committed, "{name}/{n}: committed");
-            assert_eq!(wr.result.branches, cold.branches, "{name}/{n}: branches");
-            assert_eq!(wr.warmup_cycles, 0, "{name}/{n}: nothing to discard");
-            assert_eq!(
-                warm_stats.partition.insts, cold_stats.partition.insts,
-                "{name}/{n}: same partition"
-            );
-        }
+        let label = format!("{n} cores");
+        assert_warm_entry_matches_cold_run(&label, &cfg, &HierarchyConfig::small(n));
     }
 }
