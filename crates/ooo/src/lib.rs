@@ -19,7 +19,9 @@
 //! * each core of the **Fg-STP** machine.
 //!
 //! Every machine consumes the same annotated stream: the committed path
-//! with each instruction's exact register and memory producers.
+//! with each instruction's exact register and memory producers. Each core
+//! runs a [`StreamView`] over it: the whole stream, or the instructions a
+//! partitioner selected for that core.
 //!
 //! ```
 //! use fgstp_isa::{assemble, trace_program};
@@ -52,5 +54,5 @@ pub use env::{ExecEnv, FetchGate, LoadGate, Prediction, PredictorState};
 pub use fu::FuPool;
 pub use pipeview::{InstEvents, PipeRecorder};
 pub use result::{RunResult, WarmRun};
-pub use stream::{build_exec_stream, ExecInst, MemDep, SrcDep};
+pub use stream::{build_exec_stream, ExecInst, MemDep, SrcDep, StreamView, ViewEntry};
 pub use warm::WarmState;

@@ -17,9 +17,12 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "== figures: E1, E2, E12, E13, E17 at small regenerate byte-identical to results/"
+echo "== figures: E1, E2, E4, E7, E8, E9, E12, E13, E17 at small regenerate byte-identical to results/"
 # Every single-core and fused baseline these figures divide by runs on the
-# one-core Fg-STP machine; any timing drift shows up as a diff here.
+# one-core Fg-STP machine; any timing drift shows up as a diff here. E4,
+# E7, E8 and E9 print the partition counts (distribution, replication,
+# communication, cross-core memory dependences) and the speculation-off
+# barrier path, so a change to the per-core views shows up there too.
 cargo build --release -q -p fgstp-bench
 # The lines under "### <name>" in $2, up to the next "###" header.
 section() {
@@ -32,7 +35,8 @@ figure_matches() {
     exit 1
   }
 }
-for exp in exp_e1_small_speedup exp_e2_medium_speedup; do
+for exp in exp_e1_small_speedup exp_e2_medium_speedup exp_e4_ablation \
+  exp_e7_distribution exp_e8_memdep exp_e9_steering; do
   ./target/release/$exp small | grep -v '^$' > target/figure_$exp.txt
   section $exp results/experiments_small.txt | grep -v '^$' > target/figure_$exp.rec
   figure_matches $exp target/figure_$exp.txt target/figure_$exp.rec

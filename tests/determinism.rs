@@ -24,7 +24,8 @@ fn partitions_are_identical_across_runs() {
     let p1 = partition_stream(&s, &PartitionConfig::default(), 2);
     let p2 = partition_stream(&s, &PartitionConfig::default(), 2);
     assert_eq!(p1.assign, p2.assign);
-    assert_eq!(p1.replicated, p2.replicated);
+    assert_eq!(p1.replica_on, p2.replica_on);
+    assert_eq!(p1.views, p2.views);
     assert_eq!(p1.stats, p2.stats);
 }
 
