@@ -201,7 +201,6 @@ struct FgstpEnv<'a> {
     fabric: CommFabric,
     /// Per-producer bitmask of destination cores (from the partitioner).
     send_targets: &'a [u64],
-    committed: u64,
     /// Per-gseq youngest older remote store (`u64::MAX` = no barrier).
     barriers: &'a [u64],
     /// Next unfetched gseq per core (`u64::MAX` when exhausted).
@@ -253,7 +252,6 @@ impl<'a> FgstpEnv<'a> {
             },
             fabric: CommFabric::new(n, cfg.comm),
             send_targets,
-            committed: 0,
             barriers,
             next_fetch: vec![0; n],
             fetch_skew: cfg.fetch_skew(),
@@ -321,7 +319,7 @@ fn classify_fgstp(
 }
 
 impl ExecEnv for FgstpEnv<'_> {
-    fn predict(&mut self, _core: usize, x: &ExecInst) -> Prediction {
+    fn predict(&mut self, x: &ExecInst) -> Prediction {
         debug_assert!(x.class().is_control(), "only control flow is predicted");
         self.predictions[x.gseq as usize]
     }
@@ -340,11 +338,11 @@ impl ExecEnv for FgstpEnv<'_> {
         self.next_fetch[core] = next_gseq.unwrap_or(u64::MAX);
     }
 
-    fn block_fetch_after(&mut self, _core: usize, gseq: u64) {
+    fn block_fetch_after(&mut self, gseq: u64) {
         self.gate.block_after(gseq);
     }
 
-    fn resolve_fetch_block(&mut self, _core: usize, gseq: u64, resume: u64) {
+    fn resolve_fetch_block(&mut self, gseq: u64, resume: u64) {
         self.gate.resolve(gseq, resume);
     }
 
@@ -375,13 +373,7 @@ impl ExecEnv for FgstpEnv<'_> {
         (v != u64::MAX).then_some(v)
     }
 
-    fn cross_load_gate(
-        &mut self,
-        _core: usize,
-        x: &ExecInst,
-        ready_since: u64,
-        _now: u64,
-    ) -> LoadGate {
+    fn cross_load_gate(&mut self, x: &ExecInst, ready_since: u64) -> LoadGate {
         if !self.dep_speculation {
             // Conservative cross-core ordering: wait for the youngest older
             // remote store to complete and become visible. A one-core
@@ -424,12 +416,6 @@ impl ExecEnv for FgstpEnv<'_> {
         // retires its own instructions in order; the frontier guarantees
         // global precise-state recoverability.
         x.gseq < self.completed_frontier
-    }
-
-    fn on_commit(&mut self, _core: usize, x: &ExecInst, _cycle: u64) {
-        if !x.replica {
-            self.committed += 1;
-        }
     }
 }
 
@@ -661,7 +647,7 @@ impl<'a> FgstpMachine<'a> {
 
     /// Primary instructions committed so far.
     pub fn committed(&self) -> u64 {
-        self.env.committed
+        self.cores.iter().map(|c| c.stats().committed).sum()
     }
 
     /// Advances every core one cycle at global time `now`, charging each
@@ -715,6 +701,7 @@ impl<'a> FgstpMachine<'a> {
     /// shared hierarchy, or a private hierarchy's full stats.
     pub fn finish(self, cycles: u64, mem: HierarchyStats) -> (RunResult, FgstpStats) {
         let n = self.cores.len();
+        let committed = self.committed();
         let core_stats: Vec<CoreStats> = self.cores.iter().map(|c| *c.stats()).collect();
         let stats = FgstpStats {
             partition: self.prog.stats.clone(),
@@ -723,7 +710,7 @@ impl<'a> FgstpMachine<'a> {
         };
         let result = RunResult {
             cycles,
-            committed: self.env.committed,
+            committed,
             cores: core_stats,
             branches: (self.env.branches, self.env.mispredicts),
             mem,
@@ -1270,8 +1257,6 @@ mod tests {
         env.on_complete(0, &xs[0], 7);
         assert!(env.can_commit(&xs[0]));
         assert!(env.can_commit(&xs[1]));
-        env.on_commit(0, &xs[0], 8);
-        assert_eq!(env.committed, 1);
     }
 
     #[test]

@@ -75,28 +75,6 @@ pub struct ClusterConfig {
     pub fu: FuCounts,
 }
 
-/// Local memory-dependence policy of the load/store queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemDepPolicy {
-    /// Loads wait until every older store in the queue has computed its
-    /// address (no speculation).
-    Conservative,
-    /// Loads issue as soon as their operands are ready; a conflict with an
-    /// older in-flight store replays the load after the store completes,
-    /// plus this penalty.
-    Speculative {
-        /// Cycles of replay penalty per violation.
-        violation_penalty: u64,
-    },
-    /// Like `Speculative`, but loads that have violated before (tracked by
-    /// a store-set-style table) synchronize with their conflicting store
-    /// instead of violating again.
-    StoreSets {
-        /// Cycles of replay penalty per (first) violation.
-        violation_penalty: u64,
-    },
-}
-
 /// Full configuration of one out-of-order core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -142,8 +120,11 @@ pub struct CoreConfig {
     pub btb_miss_penalty: u64,
     /// Execution latencies.
     pub lat: FuLatencies,
-    /// Local memory-dependence policy.
-    pub memdep: MemDepPolicy,
+    /// Replay penalty, in cycles, of a local memory-dependence violation.
+    /// Loads speculate past older stores; a load that violated once joins
+    /// a store-set-style table and synchronizes with its conflicting store
+    /// from then on instead of violating again.
+    pub violation_penalty: u64,
 }
 
 impl CoreConfig {
@@ -182,9 +163,7 @@ impl CoreConfig {
             mispredict_penalty: 8,
             btb_miss_penalty: 2,
             lat: FuLatencies::default(),
-            memdep: MemDepPolicy::StoreSets {
-                violation_penalty: 8,
-            },
+            violation_penalty: 8,
         }
     }
 
@@ -223,9 +202,7 @@ impl CoreConfig {
             mispredict_penalty: 10,
             btb_miss_penalty: 2,
             lat: FuLatencies::default(),
-            memdep: MemDepPolicy::StoreSets {
-                violation_penalty: 10,
-            },
+            violation_penalty: 10,
         }
     }
 
@@ -262,7 +239,7 @@ impl CoreConfig {
             mispredict_penalty: base.mispredict_penalty + 4,
             btb_miss_penalty: base.btb_miss_penalty,
             lat: base.lat,
-            memdep: base.memdep,
+            violation_penalty: base.violation_penalty,
         }
     }
 

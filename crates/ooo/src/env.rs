@@ -47,9 +47,9 @@ pub enum LoadGate {
 /// The world outside one core: prediction, fetch gating, commit order and
 /// cross-core interactions.
 pub trait ExecEnv {
-    /// Predicts the control-flow instruction `x` fetched by `core`,
-    /// training the predictor structures.
-    fn predict(&mut self, core: usize, x: &ExecInst) -> Prediction;
+    /// Predicts the fetched control-flow instruction `x`, training the
+    /// predictor structures.
+    fn predict(&mut self, x: &ExecInst) -> Prediction;
 
     /// Whether `core` may not yet fetch the instruction with global
     /// sequence `gseq` at cycle `now` (an older mispredicted branch is
@@ -57,20 +57,17 @@ pub trait ExecEnv {
     fn fetch_blocked(&mut self, core: usize, gseq: u64, now: u64) -> bool;
 
     /// Reports `core`'s next unfetched global sequence number (or `None`
-    /// when its stream is exhausted). Environments that couple the cores'
-    /// frontends (the Fg-STP lookahead buffer) use this to bound fetch
-    /// skew; the default implementation ignores it.
-    fn note_fetch_cursor(&mut self, core: usize, next_gseq: Option<u64>) {
-        let _ = (core, next_gseq);
-    }
+    /// when its stream is exhausted), which the Fg-STP lookahead buffer
+    /// uses to bound the skew between the cores' frontends.
+    fn note_fetch_cursor(&mut self, core: usize, next_gseq: Option<u64>);
 
     /// Records that a mispredicted control instruction was fetched; all
     /// fetch beyond `gseq` blocks until it resolves.
-    fn block_fetch_after(&mut self, core: usize, gseq: u64);
+    fn block_fetch_after(&mut self, gseq: u64);
 
     /// Records that the mispredicted instruction `gseq` resolved; fetch
     /// beyond it resumes at `resume` (resolution plus redirect penalty).
-    fn resolve_fetch_block(&mut self, core: usize, gseq: u64, resume: u64);
+    fn resolve_fetch_block(&mut self, gseq: u64, resume: u64);
 
     /// Records completion of `x` on `core` at `cycle` (delivers sends,
     /// updates the global completion board).
@@ -80,21 +77,12 @@ pub trait ExecEnv {
     /// is available to consumers on `core`, or `None` if not yet known.
     fn cross_operand_ready(&mut self, core: usize, producer: u64) -> Option<u64>;
 
-    /// Cross-core memory-ordering constraint for load `x` on `core`, whose
-    /// operands have been ready since `ready_since`.
-    fn cross_load_gate(
-        &mut self,
-        core: usize,
-        x: &ExecInst,
-        ready_since: u64,
-        now: u64,
-    ) -> LoadGate;
+    /// Cross-core memory-ordering constraint for load `x`, whose operands
+    /// have been ready since `ready_since`.
+    fn cross_load_gate(&mut self, x: &ExecInst, ready_since: u64) -> LoadGate;
 
     /// Whether `x` may commit now (global program order across cores).
     fn can_commit(&self, x: &ExecInst) -> bool;
-
-    /// Records the commit of `x` by `core` at `cycle`.
-    fn on_commit(&mut self, core: usize, x: &ExecInst, cycle: u64);
 }
 
 /// Branch-prediction state bundle used by environments.

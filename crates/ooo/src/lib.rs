@@ -48,7 +48,7 @@ pub mod stream;
 pub mod warm;
 
 pub use accounting::{classify_single, stat_delta, StatDelta};
-pub use config::{ClusterConfig, CoreConfig, FuCounts, FuLatencies, MemDepPolicy};
+pub use config::{ClusterConfig, CoreConfig, FuCounts, FuLatencies};
 pub use core::{CommitStall, Core, CoreStats};
 pub use env::{ExecEnv, FetchGate, LoadGate, Prediction, PredictorState};
 pub use fu::FuPool;
