@@ -7,19 +7,17 @@
 //! [`WarmState`] is the handoff between the two: the warming loop feeds it
 //! one [`DynInst`] at a time, and the machine driver
 //! (`fgstp::run_fgstp_warm`, for every core count) enters mid-trace with
-//! its caches, predictor and architectural-register snapshot.
+//! its caches and predictor. The timing model is trace-driven, so no
+//! architectural state needs to be carried.
 
-use fgstp_isa::reg::NUM_REGS;
 use fgstp_isa::{DynInst, InstClass};
 use fgstp_mem::{Hierarchy, HierarchyConfig};
-use fgstp_tracefile::{take_varint, write_varint, zigzag_decode, zigzag_encode};
 
 use crate::config::CoreConfig;
 use crate::env::PredictorState;
 
-/// Long-lived microarchitectural and architectural state carried across
-/// sampling phases: the memory hierarchy, the branch-predictor bundle and
-/// the architectural register file.
+/// Long-lived microarchitectural state carried across sampling phases: the
+/// memory hierarchy and the branch-predictor bundle.
 ///
 /// Short-lived structures (ROB, issue queues, LSQ, MSHRs, communication
 /// queues) are *not* part of the snapshot — detailed windows recreate them
@@ -31,9 +29,6 @@ pub struct WarmState {
     /// The branch-predictor bundle (direction predictor, BTB, RAS) with
     /// cumulative `branches`/`mispredicts` counters over all phases.
     pub pred: PredictorState,
-    /// Architectural register file after every instruction functionally
-    /// retired so far (detailed windows do not update it).
-    pub regs: [u64; NUM_REGS],
 }
 
 impl WarmState {
@@ -43,13 +38,12 @@ impl WarmState {
         WarmState {
             mem: Hierarchy::new(hcfg),
             pred: PredictorState::new(cfg),
-            regs: [0; NUM_REGS],
         }
     }
 
     /// Functionally retires one committed instruction: trains the branch
-    /// predictor on control flow, touches the I-cache line and any data
-    /// access, and applies the register writeback. No timing state moves.
+    /// predictor on control flow and touches the I-cache line and any data
+    /// access. No timing state moves.
     pub fn retire(&mut self, d: &DynInst) {
         self.mem.warm_inst(d.pc);
         if d.class().is_control() {
@@ -58,7 +52,6 @@ impl WarmState {
         if let Some(addr) = d.addr {
             self.mem.warm_data(addr, d.class() == InstClass::Store);
         }
-        self.apply_writeback(d);
     }
 
     /// Functionally retires a whole stretch of the trace.
@@ -76,20 +69,16 @@ impl WarmState {
     }
 
     /// Serializes the full warm state — hierarchy
-    /// ([`Hierarchy::save_warm_state`]), predictor bundle
-    /// ([`PredictorState::save_state`]) and the architectural registers as
-    /// zigzag varints — into one byte payload whose size follows what the
-    /// caches and predictors hold, not their capacity (see DESIGN.md
-    /// "Live-points"). The payload is shape-checked but unversioned and
-    /// unchecksummed; the snapshot container in `fgstp-tracefile` adds
-    /// both.
+    /// ([`Hierarchy::save_warm_state`]) then predictor bundle
+    /// ([`PredictorState::save_state`]) — into one byte payload whose size
+    /// follows what the caches and predictors hold, not their capacity
+    /// (see DESIGN.md "Live-points"). The payload is shape-checked but
+    /// unversioned and unchecksummed; the snapshot container in
+    /// `fgstp-tracefile` adds both.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.mem.save_warm_state(&mut out);
         self.pred.save_state(&mut out);
-        for &r in &self.regs {
-            write_varint(&mut out, zigzag_encode(r as i64));
-        }
         out
     }
 
@@ -106,9 +95,6 @@ impl WarmState {
         let mut r = bytes;
         w.mem.load_warm_state(&mut r)?;
         w.pred.load_state(&mut r)?;
-        for reg in &mut w.regs {
-            *reg = zigzag_decode(take_varint(&mut r, "register")?) as u64;
-        }
         if !r.is_empty() {
             return Err(format!(
                 "warm-state snapshot has {} trailing bytes",
@@ -117,38 +103,12 @@ impl WarmState {
         }
         Ok(w)
     }
-
-    fn apply_writeback(&mut self, d: &DynInst) {
-        if let (Some(rd), Some(v)) = (d.inst.dest(), d.rd_value) {
-            self.regs[rd.index()] = v;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgstp_isa::{assemble, trace_program, Machine};
-
-    #[test]
-    fn warming_tracks_the_interpreter_register_file() {
-        let src = r#"
-            li x1, 7
-            li x2, 0
-        loop:
-            add  x2, x2, x1
-            addi x1, x1, -1
-            bne  x1, x0, loop
-            halt
-        "#;
-        let p = assemble(src).unwrap();
-        let t = trace_program(&p, 10_000).unwrap();
-        let mut m = Machine::new(&p);
-        m.run(10_000).unwrap();
-        let mut w = WarmState::new(&CoreConfig::small(), &fgstp_mem::HierarchyConfig::small(1));
-        w.warm(t.insts());
-        assert_eq!(&w.regs[..], m.regs(), "warmed regs match the interpreter");
-    }
+    use fgstp_isa::{assemble, trace_program};
 
     #[test]
     fn warming_trains_predictor_and_caches() {
@@ -196,7 +156,6 @@ mod tests {
         w.warm(t.insts());
         let bytes = w.save_state();
         let mut r = WarmState::from_state_bytes(&cfg, &hcfg, &bytes).unwrap();
-        assert_eq!(r.regs, w.regs);
         assert_eq!(r.pred.branches, w.pred.branches);
         assert_eq!(r.pred.mispredicts, w.pred.mispredicts);
         assert_eq!(

@@ -28,8 +28,10 @@
 //! never-filled lines as one count and every other line as a flags byte,
 //! a varint tag and a varint LRU age; predictors pack their 2-bit
 //! counters four per byte and the BTB writes only present entries; every
-//! other scalar is a varint ([`crate::write_varint`]). Version 1 wrote
-//! every line and table entry at a fixed width and has no decoder.
+//! other scalar is a varint ([`crate::write_varint`]). Version 3 payloads
+//! are version 2's without the trailing architectural register file.
+//! Older versions have no decoder: version 2 carried the registers, and
+//! version 1 wrote every line and table entry at a fixed width.
 //!
 //! [`crate::TraceCache`] stores these files as
 //! `<key>-s<SNAPSHOT_VERSION>.fgss`; see the [`crate::cache`] module for
@@ -42,7 +44,7 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"FGSS";
 /// On-disk snapshot format version. Folded into snapshot cache file
 /// names; bumping it orphans every stored snapshot (they are re-generated
 /// on the next sampled run).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A serialized set of live-points: one opaque warm-state payload per
 /// detailed window of a sampled run, plus the end-of-trace state.

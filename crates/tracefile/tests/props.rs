@@ -1,6 +1,5 @@
 //! Property tests: live-point files reject random corruption without
-//! panicking, and the zigzag codec warm-state payloads use is a
-//! bijection.
+//! panicking, and the zigzag codec is a bijection.
 //!
 //! Cases come from the workspace's deterministic [`Xorshift`] generator;
 //! every assertion names its case seed so failures replay exactly.

@@ -344,7 +344,6 @@ fn warm_state_round_trips_exactly_on_real_traces() {
         let bytes = original.save_state();
         let mut restored = WarmState::from_state_bytes(&cfg, &hcfg, &bytes).expect("decodes");
         assert_eq!(restored.save_state(), bytes);
-        assert_eq!(restored.regs, original.regs);
         original.warm(tail);
         restored.warm(tail);
         assert_eq!(restored.save_state(), original.save_state());
