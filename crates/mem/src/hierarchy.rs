@@ -316,33 +316,6 @@ impl Hierarchy {
         h
     }
 
-    /// Replaces one core's private L1 geometries (asymmetric machines).
-    /// Only geometry and MSHR capacity vary per core; hit latencies come
-    /// from the base config, and the line size must match it. Call before
-    /// simulating — the replaced caches start empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a line size differs from the base config or the geometry
-    /// is invalid.
-    pub fn set_core_l1(&mut self, core: usize, l1i: Option<CacheConfig>, l1d: Option<CacheConfig>) {
-        if let Some(cfg) = l1i {
-            assert_eq!(
-                cfg.line_bytes, self.config.l1i.line_bytes,
-                "per-core L1I line size must match the base config"
-            );
-            self.l1i[core] = Cache::new(cfg);
-        }
-        if let Some(cfg) = l1d {
-            assert_eq!(
-                cfg.line_bytes, self.config.l1d.line_bytes,
-                "per-core L1D line size must match the base config"
-            );
-            self.l1d[core] = Cache::new(cfg);
-            self.l1d_mshrs[core] = MshrFile::new(cfg.mshrs as usize);
-        }
-    }
-
     /// The hierarchy configuration.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config
@@ -833,37 +806,6 @@ mod tests {
         let b = h.access_data(1, 0x1000, false, 0);
         assert_eq!(a, b, "no bandwidth model: concurrent misses do not queue");
         assert_eq!(h.stats().dram, DramStats::default());
-    }
-
-    #[test]
-    fn per_core_l1_overrides_change_capacity_only() {
-        let cfg = HierarchyConfig::small(2);
-        let mut h = Hierarchy::new(&cfg);
-        // Core 1 gets a quarter-size L1D.
-        h.set_core_l1(
-            1,
-            None,
-            Some(CacheConfig {
-                size_bytes: 4 << 10,
-                ..cfg.l1d
-            }),
-        );
-        // Both cores stream 8 KiB; the small L1D thrashes where the big
-        // one holds the working set.
-        for round in 0..2u64 {
-            for i in 0..128u64 {
-                let addr = i * 64;
-                h.access_data(0, addr, false, round * 10_000 + i * 10);
-                h.access_data(1, addr, false, round * 10_000 + i * 10);
-            }
-        }
-        let s = h.stats();
-        assert!(
-            s.l1d[1].misses > s.l1d[0].misses,
-            "small L1D must miss more: {:?} vs {:?}",
-            s.l1d[1],
-            s.l1d[0]
-        );
     }
 
     #[test]
