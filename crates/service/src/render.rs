@@ -10,17 +10,19 @@
 //! with the recorded `results/experiments_*.txt` files. Any other
 //! machine set renders as a long-format run table.
 
-use fgstp_sim::{geomean, MachineKind, Table};
+use fgstp_sim::{speedup_rows, MachineKind, Table};
 use fgstp_telemetry::json::Json;
 
 /// Cycles of the run on `label` within one result row.
-fn cycles_of(row: &Json, label: &str) -> Option<f64> {
-    row.get("runs")?
+fn cycles_of(row: &Json, label: &str) -> Option<u64> {
+    let cycles = row
+        .get("runs")?
         .as_arr()?
         .iter()
         .find(|r| r.get("machine").and_then(Json::as_str) == Some(label))?
         .get("cycles")?
-        .as_f64()
+        .as_f64()?;
+    Some(cycles as u64)
 }
 
 /// Whether `machines` is a `[single, fused, fgstp]` comparison triple.
@@ -31,49 +33,28 @@ pub fn is_speedup_triple(machines: &[MachineKind]) -> bool {
         && machines[2].is_fgstp()
 }
 
-/// The E1/E2-style speedup table for a comparison triple, or `None`
-/// when the machine set is not one (callers fall back to
-/// [`runs_table`]).
+/// The E1/E2-style speedup table for a comparison triple, rendered by
+/// the harness's own [`speedup_rows`], or `None` when the machine set is
+/// not one or a row lacks one of its runs (callers fall back to
+/// [`runs_table`]). Rows that carry an error are left out.
 pub fn speedup_rows_table(rows: &[Json], machines: &[MachineKind]) -> Option<Table> {
     if !is_speedup_triple(machines) {
         return None;
     }
-    let (single, fused_l, fgstp_l) = (
-        machines[0].label(),
-        machines[1].label(),
-        machines[2].label(),
-    );
-    let mut table = Table::new(["benchmark", "insts", "fused", "fgstp", "fgstp/fused"]);
-    let mut fused = Vec::new();
-    let mut fgstp = Vec::new();
+    let mut triples = Vec::new();
     for row in rows {
         if !matches!(row.get("error"), None | Some(Json::Null)) {
             continue;
         }
         let name = row.get("workload").and_then(Json::as_str)?;
         let committed = row.get("committed").and_then(Json::as_f64)? as u64;
-        let c_single = cycles_of(row, single)?;
-        let (c_fused, c_fgstp) = (cycles_of(row, fused_l)?, cycles_of(row, fgstp_l)?);
-        let (s_fused, s_fgstp) = (c_single / c_fused, c_single / c_fgstp);
-        fused.push(s_fused);
-        fgstp.push(s_fgstp);
-        table.row([
-            name.to_owned(),
-            committed.to_string(),
-            format!("{s_fused:.3}"),
-            format!("{s_fgstp:.3}"),
-            format!("{:.3}", s_fgstp / s_fused),
-        ]);
+        let mut cycles = [0; 3];
+        for (c, m) in cycles.iter_mut().zip(machines) {
+            *c = cycles_of(row, m.label())?;
+        }
+        triples.push((name, committed, cycles));
     }
-    let (gf, gs) = (geomean(&fused), geomean(&fgstp));
-    table.row([
-        "GEOMEAN".to_owned(),
-        String::new(),
-        format!("{gf:.3}"),
-        format!("{gs:.3}"),
-        format!("{:.3}", gs / gf),
-    ]);
-    Some(table)
+    Some(speedup_rows(triples).0)
 }
 
 /// Long-format fallback: one line per (workload, machine) run.

@@ -70,7 +70,7 @@ pub use fgstp_sampling::{geomean_estimate, Estimate, SampleConfig, SampledRun, W
 pub use fgstp_telemetry::{write_chrome_trace, CpiStack, Episode, StallCategory};
 pub use fgstp_workloads::{Scale, SuiteClass, Workload};
 pub use presets::MachineKind;
-pub use report::{cpi_stack_table, speedup_table, SpeedupSummary, Table};
+pub use report::{cpi_stack_table, speedup_rows, speedup_table, SpeedupSummary, Table};
 pub use runner::{
     geomean, run_on, run_on_corun, run_on_instrumented, run_on_instrumented_with_cores,
     run_on_sampled, run_on_with_cores, BenchResult, CoRunInfo, MachineRun,

@@ -144,10 +144,7 @@ impl SpeedupSummary {
 /// are skipped (and recorded in [`SpeedupSummary::skipped`]) instead of
 /// panicking, so partial machine sets degrade gracefully.
 pub fn speedup_table(results: &[BenchResult], kinds: [MachineKind; 3]) -> SpeedupSummary {
-    let [single, fused_kind, fgstp_kind] = kinds;
-    let mut table = Table::new(["benchmark", "insts", "fused", "fgstp", "fgstp/fused"]);
-    let mut fused = Vec::new();
-    let mut fgstp = Vec::new();
+    let mut rows = Vec::new();
     let mut skipped = Vec::new();
     let mut failed = Vec::new();
     for b in results {
@@ -155,18 +152,44 @@ pub fn speedup_table(results: &[BenchResult], kinds: [MachineKind; 3]) -> Speedu
             failed.push((b.name, e.clone()));
             continue;
         }
-        let (Some(s_fused), Some(s_fgstp)) = (
-            b.try_speedup(fused_kind, single),
-            b.try_speedup(fgstp_kind, single),
-        ) else {
+        let cycles = kinds.map(|k| b.run_of(k).map(|r| r.result.cycles));
+        let [Some(single), Some(fused), Some(fgstp)] = cycles else {
             skipped.push(b.name);
             continue;
         };
+        rows.push((b.name, b.committed, [single, fused, fgstp]));
+    }
+    let (table, fused_geomean, fgstp_geomean) = speedup_rows(rows);
+    SpeedupSummary {
+        table,
+        fused_geomean,
+        fgstp_geomean,
+        skipped,
+        failed,
+    }
+}
+
+/// Renders the E1/E2 speedup table from `(workload, committed
+/// instructions, cycles on the [single, fused, fgstp] machines)` rows:
+/// each workload's speedups of the fused and Fg-STP machines over the
+/// single core and their ratio, then a GEOMEAN row. Returns the table
+/// with the fused and Fg-STP geomean speedups. The harness
+/// ([`speedup_table`]) and the batch client render through this one
+/// function, so their figures agree to the last digit.
+pub fn speedup_rows<'a>(
+    rows: impl IntoIterator<Item = (&'a str, u64, [u64; 3])>,
+) -> (Table, f64, f64) {
+    let mut table = Table::new(["benchmark", "insts", "fused", "fgstp", "fgstp/fused"]);
+    let mut fused = Vec::new();
+    let mut fgstp = Vec::new();
+    for (name, committed, [single, c_fused, c_fgstp]) in rows {
+        let speedup = |cycles: u64| single as f64 / cycles.max(1) as f64;
+        let (s_fused, s_fgstp) = (speedup(c_fused), speedup(c_fgstp));
         fused.push(s_fused);
         fgstp.push(s_fgstp);
         table.row([
-            b.name.to_owned(),
-            b.committed.to_string(),
+            name.to_owned(),
+            committed.to_string(),
             format!("{s_fused:.3}"),
             format!("{s_fgstp:.3}"),
             format!("{:.3}", s_fgstp / s_fused),
@@ -180,13 +203,7 @@ pub fn speedup_table(results: &[BenchResult], kinds: [MachineKind; 3]) -> Speedu
         format!("{gs:.3}"),
         format!("{:.3}", gs / gf),
     ]);
-    SpeedupSummary {
-        table,
-        fused_geomean: gf,
-        fgstp_geomean: gs,
-        skipped,
-        failed,
-    }
+    (table, gf, gs)
 }
 
 /// Builds a per-benchmark CPI-stack table for machine `kind` from
