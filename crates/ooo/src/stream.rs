@@ -41,7 +41,11 @@ pub struct MemDep {
 pub struct ExecInst {
     /// The committed dynamic instruction.
     pub d: DynInst,
-    /// Global sequence number (equals `d.seq`).
+    /// Global sequence number: the position in the annotated stream,
+    /// numbered from 0. It equals `d.seq` only when the stream covers a
+    /// trace from its start; a stream built from a slice of a trace (a
+    /// sampling window, an adaptive controller's interval) still starts
+    /// at 0 while `d.seq` keeps the trace position.
     pub gseq: u64,
     /// Register dependences (up to two sources).
     pub deps: [Option<SrcDep>; 2],
@@ -419,6 +423,34 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert!(got[0].replica);
         assert!(got[1].deps[1].unwrap().cross && !got[1].deps[0].unwrap().cross);
+    }
+
+    #[test]
+    fn gseq_numbers_a_slice_from_zero_and_d_seq_keeps_the_trace_position() {
+        let p = assemble(
+            r#"
+                li x1, 0x100    # 0
+                li x2, 7        # 1
+                sd x2, 0(x1)    # 2
+                ld x3, 0(x1)    # 3
+                add x4, x3, x2  # 4
+                halt
+            "#,
+        )
+        .unwrap();
+        let t = trace_program(&p, 10_000).unwrap();
+        let s = build_exec_stream(&t.insts()[2..]);
+        assert_eq!(s.len(), 3);
+        for (i, x) in s.iter().enumerate() {
+            assert_eq!(x.gseq, i as u64);
+            assert_eq!(x.d.seq, i as u64 + 2);
+        }
+        // Producers are named by stream position too; one outside the
+        // slice leaves no dependence.
+        assert_eq!(s[1].mem_dep.unwrap().store, 0);
+        assert_eq!(s[0].deps, [None, None]);
+        assert_eq!(s[2].deps[0].unwrap().producer, 1);
+        assert_eq!(s[2].deps[1], None);
     }
 
     #[test]
