@@ -17,12 +17,15 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "== figures: E1, E2, E4, E7, E8, E9, E12, E13, E17 at small regenerate byte-identical to results/"
+echo "== figures: every deterministic small figure (T1, E1-E14, E16, E17) regenerates byte-identical to results/"
 # Every single-core and fused baseline these figures divide by runs on the
 # one-core Fg-STP machine; any timing drift shows up as a diff here. E4,
 # E7, E8 and E9 print the partition counts (distribution, replication,
 # communication, cross-core memory dependences) and the speculation-off
 # barrier path, so a change to the per-core views shows up there too.
+# E10 runs its adaptive controllers on slices of each trace, E14 runs
+# sampled windows from in-memory live-points (no cache, so nothing stored
+# is replayed), and E16 runs co-runs on one shared hierarchy.
 cargo build --release -q -p fgstp-bench
 # The lines under "### <name>" in $2, up to the next "###" header.
 section() {
@@ -35,8 +38,10 @@ figure_matches() {
     exit 1
   }
 }
-for exp in exp_e1_small_speedup exp_e2_medium_speedup exp_e4_ablation \
-  exp_e7_distribution exp_e8_memdep exp_e9_steering; do
+for exp in exp_t1_configs exp_e1_small_speedup exp_e2_medium_speedup \
+  exp_e3_comm_latency exp_e4_ablation exp_e5_window exp_e6_comm_bw \
+  exp_e7_distribution exp_e8_memdep exp_e9_steering exp_e10_adaptive \
+  exp_e11_energy; do
   ./target/release/$exp small | grep -v '^$' > target/figure_$exp.txt
   section $exp results/experiments_small.txt | grep -v '^$' > target/figure_$exp.rec
   figure_matches $exp target/figure_$exp.txt target/figure_$exp.rec
@@ -46,6 +51,10 @@ awk 'p; /^###/ { p = 1 }' results/experiments_e12_small.txt > target/figure_e12.
 figure_matches E12 target/figure_e12.txt target/figure_e12.rec
 ./target/release/exp_e13_core_scaling small > target/figure_e13.txt
 figure_matches E13 target/figure_e13.txt results/experiments_e13_small.txt
+./target/release/exp_e14_sampling small --no-cache > target/figure_e14.txt
+figure_matches E14 target/figure_e14.txt results/experiments_e14_small.txt
+./target/release/exp_e16_corun small > target/figure_e16.txt
+figure_matches E16 target/figure_e16.txt results/experiments_e16_small.txt
 ./target/release/exp_e17_rv small > target/figure_e17.txt
 figure_matches E17 target/figure_e17.txt results/experiments_e17_small.txt
 
