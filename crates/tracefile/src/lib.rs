@@ -35,9 +35,7 @@ mod varint;
 
 pub use cache::TraceCache;
 pub use snapshot::{SnapshotFile, SNAPSHOT_VERSION};
-pub use varint::{
-    read_varint, take_count, take_varint, write_varint, zigzag_decode, zigzag_encode, MAX_COUNT,
-};
+pub use varint::{read_varint, take_count, take_varint, write_varint, MAX_COUNT};
 
 /// Error decoding or storing a live-point file.
 #[derive(Debug)]

@@ -1,4 +1,4 @@
-//! LEB128 varints and zigzag encoding for signed values.
+//! LEB128 varints.
 //!
 //! Writers append to a plain `Vec<u8>`; readers consume from a `&[u8]`
 //! cursor that advances past what they decode. No external buffer crate
@@ -63,17 +63,6 @@ pub fn take_count(buf: &mut &[u8], field: &str) -> Result<u64, String> {
     Ok(v)
 }
 
-/// Maps a signed value onto an unsigned one with small magnitudes staying
-/// small (…,-2,-1,0,1,2,… → 3,1,0,2,4,…).
-pub fn zigzag_encode(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,15 +116,5 @@ mod tests {
         assert!(err.contains("misses"), "{err}");
         let err = take_varint(&mut slice, "tag").unwrap_err();
         assert!(err.contains("truncated (tag)"), "{err}");
-    }
-
-    #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 12345, -99999] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
     }
 }
