@@ -6,13 +6,14 @@
 //! one-core program is the conventional core running alone, exactly as
 //! the single-core presets run it) on consecutive core ranges of one
 //! chip. The driver advances a single global cycle counter and steps
-//! each active program's machine in fixed program order every cycle, so
-//! shared-resource arbitration (L2 tags, L2 MSHRs, the optional
-//! finite-bandwidth DRAM channel) sees requests in a deterministic
-//! fixed-priority order among same-cycle requestors, with slots recycling
-//! round-robin as they free — results are bit-identical regardless of how
-//! many worker threads the surrounding harness uses, because a co-run is
-//! always one job on one thread.
+//! each active program's machine in fixed program order on every cycle
+//! at which it can act (a machine skips its idle cycles exactly as it
+//! does running alone), so shared-resource arbitration (L2 tags, L2
+//! MSHRs, the optional finite-bandwidth DRAM channel) sees requests in a
+//! deterministic fixed-priority order among same-cycle requestors, with
+//! slots recycling round-robin as they free — results are bit-identical
+//! regardless of how many worker threads the surrounding harness uses,
+//! because a co-run is always one job on one thread.
 //!
 //! Degenerate cases are exact by construction:
 //!
@@ -234,18 +235,29 @@ fn run_corun_shared(
         // An empty program is finished the moment it arrives.
         .map(|(m, p)| m.done().then_some(p.start_cycle))
         .collect();
+    // The cycle each program's machine is stepped next: its start, then
+    // the cycle its last step returned. A machine is stepped only on its
+    // own cycles and the clock jumps to the earliest of them; a skipped
+    // machine changes nothing a partner sees (it touches the hierarchy
+    // only in cycles it acts).
+    let mut due: Vec<u64> = plan.programs.iter().map(|p| p.start_cycle).collect();
     let mut now = 0u64;
     while finish.iter().any(Option::is_none) {
+        let mut next = u64::MAX;
         for (i, m) in machines.iter_mut().enumerate() {
-            if finish[i].is_some() || now < plan.programs[i].start_cycle {
+            if finish[i].is_some() {
                 continue;
             }
-            m.step(now, &mut mem, &mut NullSink);
-            if m.done() {
-                finish[i] = Some(now + 1);
+            if due[i] == now {
+                due[i] = m.step(now, &mut mem, &mut NullSink);
+                if m.done() {
+                    finish[i] = Some(now + 1);
+                    continue;
+                }
             }
+            next = next.min(due[i]);
         }
-        now += 1;
+        now = next;
     }
 
     let global = mem.stats();

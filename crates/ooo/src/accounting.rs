@@ -1,7 +1,8 @@
 //! Mapping commit-stall probes onto CPI-stack categories.
 //!
 //! The machine driver (`fgstp::FgstpMachine::step`) snapshots
-//! [`CoreStats`] around every cycle; on a cycle that committed nothing it
+//! [`CoreStats`] around every cycle (with a recording sink it skips no
+//! idle cycle); on a cycle that committed nothing it
 //! combines the [`Core::commit_stall`] probe with the per-cycle stats
 //! delta to charge the cycle to exactly one [`StallCategory`].
 //! [`classify_single`] covers everything a core running alone (a single

@@ -24,16 +24,32 @@
 //! * **Ready-set filtering**: an issue-queue entry whose operand-ready
 //!   cycle is already known sleeps until that cycle (`sleep_until`); an
 //!   entry blocked on a not-yet-issued local producer parks on that
-//!   producer's waiter list (`waiter_head`/`waiter_next`) and is re-examined
-//!   only when the producer issues. Both filters are provably invisible to
-//!   timing: a known ready time is final (producer completion times never
-//!   move once scheduled), and a local producer still in the queue keeps
-//!   its consumers unready until the cycle it issues. Entries blocked on
-//!   cross-core operands or memory-ordering gates are never filtered —
-//!   those can change outside the core's view and are re-polled each cycle.
+//!   producer's waiter list (`waiter_head`/`waiter_next`) and leaves the
+//!   scanned queue (`iq`) until the producer issues, when it goes back in
+//!   age order and is scanned from the next cycle on (its producer
+//!   completes at the next cycle at the earliest). Parked entries still
+//!   count against the queue's capacity. Both filters are provably
+//!   invisible to timing: a known ready time is final (producer
+//!   completion times never move once scheduled), and a local producer
+//!   still in the queue keeps its consumers unready until the cycle it
+//!   issues. Entries blocked on cross-core operands or memory-ordering
+//!   gates are never filtered — those can change outside the core's view
+//!   and are re-polled each cycle the core runs.
+//! * **Idle-cycle skipping**: [`Core::cycle`] reports the next cycle at
+//!   which the core can act. A cycle in which no stage changed state
+//!   (nothing completed, committed, issued, dispatched or fetched, no
+//!   I-cache access, no new fetch cursor for the partners, no functional
+//!   unit refused a ready entry) would repeat, stall counters and all,
+//!   until the earliest of the core's wake sources: its next completion,
+//!   the end of an I-cache stall, the fetch-buffer head reaching dispatch,
+//!   a sleeping entry's ready cycle or a load's `LoadGate::WaitUntil`
+//!   cycle. The machine driver jumps there, and [`Core::charge_idle`]
+//!   charges the skipped cycles to the stall counters the quiet cycle
+//!   charged.
 //! * **Event wheel**: completions are scheduled on an O(1)
-//!   [`fgstp_mem::EventWheel`] instead of a binary heap, drained once per
-//!   cycle in the exact `(cycle, gseq)` order the heap produced.
+//!   [`fgstp_mem::EventWheel`] instead of a binary heap, drained in the
+//!   exact `(cycle, gseq)` order the heap produced; its next-due lookup
+//!   is the core's first wake source.
 //! * **Reused scratch**: per-cycle work buffers (issued-per-cluster
 //!   counts, steering votes, drained completions) are struct members
 //!   cleared in place; the cycle loop performs no heap allocation.
@@ -111,7 +127,8 @@ struct Slots {
     /// The operand-ready cycle once known: the issue scan skips the entry
     /// until then (a known ready time is final, see the module docs).
     sleep_until: Vec<u64>,
-    /// Entry is parked on a local producer's waiter list.
+    /// Entry is parked on a local producer's waiter list, out of the
+    /// issue scan.
     waiting: Vec<bool>,
     /// Head of this slot's waiter list (slots blocked on it issuing).
     waiter_head: Vec<u32>,
@@ -174,7 +191,9 @@ enum Wakeup {
     /// park on its waiter list until it does.
     WaitLocal(u32),
     /// Blocked on something the core cannot observe changing (a cross-core
-    /// operand not yet delivered): re-poll every cycle.
+    /// operand not yet delivered): re-poll each cycle the core runs. The
+    /// delivery follows a completion on the producer's core, which that
+    /// core's completion wheel wakes the machine for.
     Unknown,
 }
 
@@ -272,7 +291,12 @@ pub struct Core<'a> {
     /// Slot id per global sequence number ([`NO_SLOT`] when not in flight).
     slot_of: Vec<u32>,
     rob: VecDeque<u32>,
+    /// The issue queue the issue stage scans, in age order, less the
+    /// entries parked on a local producer.
     iq: Vec<u32>,
+    /// Issue-queue entries parked on a local producer (they still occupy
+    /// the queue).
+    iq_parked: usize,
     lq_used: usize,
     sq_used: usize,
     fus: FuPool,
@@ -292,8 +316,25 @@ pub struct Core<'a> {
     scratch_votes: Vec<usize>,
     scratch_issued: Vec<usize>,
     scratch_done: Vec<(u64, u64)>,
+    /// Entries woken this cycle, re-entering the scan from the next one.
+    scratch_woken: Vec<u32>,
+    /// Fetch cursor last reported through [`ExecEnv::note_fetch_cursor`].
+    noted_cursor: usize,
+    /// Earliest cycle after the current one at which an entry the issue
+    /// scan passed over can issue (`u64::MAX` = none).
+    issue_wake: u64,
+    /// The per-cycle stall counters the last cycle charged, one `CHARGE_*`
+    /// bit each, so that skipped idle cycles charge the same.
+    charged: u8,
     stats: CoreStats,
 }
+
+// Bits of `Core::charged`, one per per-cycle stall counter.
+const CHARGE_ICACHE: u8 = 1 << 0;
+const CHARGE_FETCH_BLOCKED: u8 = 1 << 1;
+const CHARGE_ROB_FULL: u8 = 1 << 2;
+const CHARGE_IQ_FULL: u8 = 1 << 3;
+const CHARGE_LSQ_FULL: u8 = 1 << 4;
 
 /// Receives `(gseq, stage, cycle)` for every stage an instruction
 /// reaches; `None` when the run's sink records nothing.
@@ -341,6 +382,7 @@ impl<'a> Core<'a> {
             slot_of: vec![NO_SLOT; dense],
             rob: VecDeque::with_capacity(cfg.rob_size + 1),
             iq: Vec::with_capacity(cfg.iq_size + 1),
+            iq_parked: 0,
             lq_used: 0,
             sq_used: 0,
             fus,
@@ -353,6 +395,11 @@ impl<'a> Core<'a> {
             scratch_votes: vec![0; clusters],
             scratch_issued: vec![0; clusters],
             scratch_done: Vec::with_capacity(cfg.issue_width + 4),
+            scratch_woken: Vec::with_capacity(cfg.issue_width + 4),
+            // Nothing reported yet: the first cycle reports the cursor.
+            noted_cursor: usize::MAX,
+            issue_wake: u64::MAX,
+            charged: 0,
             stats: CoreStats::default(),
         }
     }
@@ -386,12 +433,13 @@ impl<'a> Core<'a> {
             format!("{}:{:?}", self.slots.x[s].gseq, self.slots.state[s])
         });
         format!(
-            "cursor={}/{} pipe={} rob={} iq={} lq={} sq={} head={:?}",
+            "cursor={}/{} pipe={} rob={} iq={} (parked {}) lq={} sq={} head={:?}",
             self.cursor,
             self.view.len(self.base),
             self.pipe.len(),
             self.rob.len(),
-            self.iq.len(),
+            self.iq.len() + self.iq_parked,
+            self.iq_parked,
             self.lq_used,
             self.sq_used,
             head
@@ -422,6 +470,7 @@ impl<'a> Core<'a> {
                         env.cross_operand_ready(self.id, dep.producer)
                     } else {
                         self.local_ready(dep.producer, self.slots.cluster[s] as usize)
+                            .ok()
                     };
                     if ready.is_none_or(|t| t > now) {
                         pending = true;
@@ -462,22 +511,48 @@ impl<'a> Core<'a> {
 
     /// Advances the pipeline by one cycle, reporting every stage an
     /// instruction reaches to `sink` (see [`CycleSink::stage`]).
+    ///
+    /// Returns the next cycle at which the core can act: `now + 1` after a
+    /// cycle that changed its state, otherwise the earliest of its own
+    /// wake sources (`u64::MAX` if it has none). A quiet cycle changes
+    /// nothing but the per-cycle stall counters, and every cycle until the
+    /// returned one would repeat it, unless another core acts first: what
+    /// a core waits on beyond its own wake sources is an event on another
+    /// core's completion wheel.
     pub fn cycle<S: CycleSink>(
         &mut self,
         now: u64,
         env: &mut dyn ExecEnv,
         mem: &mut Hierarchy,
         sink: &mut S,
-    ) {
+    ) -> u64 {
         // The pipeline itself is not generic over the sink, so it is
         // compiled once, in this crate, where its helpers inline: a copy
         // per sink type in each caller's crate measured slower.
         if S::ENABLED {
             let id = self.id;
             let mut hook = |gseq, stage, cycle| sink.stage(id, gseq, stage, cycle);
-            self.advance(now, env, mem, &mut Some(&mut hook));
+            self.advance(now, env, mem, &mut Some(&mut hook))
         } else {
-            self.advance(now, env, mem, &mut None);
+            self.advance(now, env, mem, &mut None)
+        }
+    }
+
+    /// Charges `cycles` skipped idle cycles to the stall counters the last
+    /// cycle charged: nothing changed in them, so each would have charged
+    /// the same.
+    pub fn charge_idle(&mut self, cycles: u64) {
+        let s = &mut self.stats;
+        for (bit, counter) in [
+            (CHARGE_ICACHE, &mut s.icache_stall_cycles),
+            (CHARGE_FETCH_BLOCKED, &mut s.fetch_blocked_cycles),
+            (CHARGE_ROB_FULL, &mut s.rob_full),
+            (CHARGE_IQ_FULL, &mut s.iq_full),
+            (CHARGE_LSQ_FULL, &mut s.lsq_full),
+        ] {
+            if self.charged & bit != 0 {
+                *counter += cycles;
+            }
         }
     }
 
@@ -487,15 +562,34 @@ impl<'a> Core<'a> {
         env: &mut dyn ExecEnv,
         mem: &mut Hierarchy,
         hook: &mut StageHook,
-    ) {
-        self.drain_completions(now, env, hook);
-        self.commit(now, env, mem, hook);
-        self.issue(now, env, mem, hook);
-        self.dispatch(now, hook);
-        self.fetch(now, env, mem, hook);
+    ) -> u64 {
+        self.charged = 0;
+        // Each stage reports whether the next cycle must run.
+        let mut busy = self.drain_completions(now, env, hook);
+        busy |= self.commit(now, env, mem, hook);
+        busy |= self.issue(now, env, mem, hook);
+        busy |= self.dispatch(now, hook);
+        busy |= self.fetch(now, env, mem, hook);
+        if busy {
+            return now + 1;
+        }
+        let mut wake = self.issue_wake;
+        if let Some(t) = self.completions.next_due() {
+            wake = wake.min(t);
+        }
+        if self.fetch_stall_until > now {
+            wake = wake.min(self.fetch_stall_until);
+        }
+        if let Some(&(ready, _)) = self.pipe.front() {
+            if ready > now {
+                wake = wake.min(ready);
+            }
+        }
+        wake
     }
 
-    fn drain_completions(&mut self, now: u64, env: &mut dyn ExecEnv, hook: &mut StageHook) {
+    /// Returns whether anything completed.
+    fn drain_completions(&mut self, now: u64, env: &mut dyn ExecEnv, hook: &mut StageHook) -> bool {
         self.scratch_done.clear();
         let mut due = std::mem::take(&mut self.scratch_done);
         self.completions.drain_due_into(now, &mut due);
@@ -516,16 +610,20 @@ impl<'a> Core<'a> {
                 env.resolve_fetch_block(gseq, cycle + self.cfg.mispredict_penalty);
             }
         }
+        let any = !due.is_empty();
         self.scratch_done = due;
+        any
     }
 
+    /// Returns whether anything committed.
     fn commit(
         &mut self,
         now: u64,
         env: &mut dyn ExecEnv,
         mem: &mut Hierarchy,
         hook: &mut StageHook,
-    ) {
+    ) -> bool {
+        let mut any = false;
         for _ in 0..self.cfg.commit_width {
             let Some(&sid) = self.rob.front() else { break };
             let s = sid as usize;
@@ -557,27 +655,31 @@ impl<'a> Core<'a> {
             self.rob.pop_front();
             self.slot_of[gseq as usize] = NO_SLOT;
             self.slots.free.push(sid);
+            any = true;
         }
+        any
     }
 
     /// Scheduled or actual completion cycle of this core's instruction
-    /// `gseq`, or `None` if it has not issued yet.
-    fn completion(&self, gseq: u64) -> Option<u64> {
+    /// `gseq`, or, if it has not issued yet, `Err` with its slot id:
+    /// [`NO_SLOT`] when it was never dispatched on this core.
+    fn completion(&self, gseq: u64) -> Result<u64, u32> {
         let sid = self.slot_of[gseq as usize];
         if sid == NO_SLOT {
             let t = self.complete_time[gseq as usize];
-            return (t != u64::MAX).then_some(t);
+            return if t != u64::MAX { Ok(t) } else { Err(NO_SLOT) };
         }
         match self.slots.state[sid as usize] {
-            SlotState::InQueue => None,
-            SlotState::Issued { done } => Some(done),
-            SlotState::Done { at } => Some(at),
+            SlotState::InQueue => Err(sid),
+            SlotState::Issued { done } => Ok(done),
+            SlotState::Done { at } => Ok(at),
         }
     }
 
     /// Cycle a local producer's value reaches a consumer on
-    /// `consumer_cluster`, or `None` if the producer has not issued yet.
-    fn local_ready(&self, producer: u64, consumer_cluster: usize) -> Option<u64> {
+    /// `consumer_cluster`, or, if the producer has not issued yet, `Err`
+    /// as from [`Core::completion`].
+    fn local_ready(&self, producer: u64, consumer_cluster: usize) -> Result<u64, u32> {
         let time = self.completion(producer)?;
         // `cluster_of` is set at dispatch and never cleared.
         let cluster = self.cluster_of[producer as usize];
@@ -586,7 +688,7 @@ impl<'a> Core<'a> {
         } else {
             0
         };
-        Some(time + bypass)
+        Ok(time + bypass)
     }
 
     /// Issue-stage wakeup: the earliest cycle the register operands of
@@ -601,33 +703,13 @@ impl<'a> Core<'a> {
                     None => return Wakeup::Unknown,
                 }
             } else {
-                let p = dep.producer as usize;
-                let psid = self.slot_of[p];
-                if psid != NO_SLOT {
-                    let (done, cluster) = match self.slots.state[psid as usize] {
-                        SlotState::InQueue => return Wakeup::WaitLocal(psid),
-                        SlotState::Issued { done } => (done, self.slots.cluster[psid as usize]),
-                        SlotState::Done { at } => (at, self.slots.cluster[psid as usize]),
-                    };
-                    if cluster as usize != consumer_cluster {
-                        done + self.cfg.intercluster_latency
-                    } else {
-                        done
-                    }
-                } else {
-                    let done = self.complete_time[p];
-                    if done == u64::MAX {
-                        // Producer is not in this core's stream at all (a
-                        // partitioner invariant violation): keep polling,
-                        // matching the old always-rescan behaviour.
-                        return Wakeup::Unknown;
-                    }
-                    let c = self.cluster_of[p];
-                    if c != u8::MAX && c as usize != consumer_cluster {
-                        done + self.cfg.intercluster_latency
-                    } else {
-                        done
-                    }
+                match self.local_ready(dep.producer, consumer_cluster) {
+                    Ok(r) => r,
+                    // Producer is not in this core's stream at all (a
+                    // partitioner invariant violation): keep polling,
+                    // matching the old always-rescan behaviour.
+                    Err(NO_SLOT) => return Wakeup::Unknown,
+                    Err(psid) => return Wakeup::WaitLocal(psid),
                 }
             };
             t = t.max(r);
@@ -646,20 +728,25 @@ impl<'a> Core<'a> {
         let Some(md) = x.mem_dep.filter(|m| !m.cross) else {
             return Some((false, false));
         };
-        let done = self.completion(md.store).filter(|&done| done <= now)?;
+        let done = self.completion(md.store).ok().filter(|&done| done <= now)?;
         let violated = done > ready_since && !self.storeset.contains(&x.d.pc);
         Some((md.forwardable, violated))
     }
 
+    /// Returns whether anything issued or a functional unit refused a
+    /// ready entry; the earliest cycle another entry it passed over can
+    /// issue is left in `issue_wake`.
     fn issue(
         &mut self,
         now: u64,
         env: &mut dyn ExecEnv,
         mem: &mut Hierarchy,
         hook: &mut StageHook,
-    ) {
+    ) -> bool {
         let mut issued_total = 0;
-        let mut issued_any = false;
+        let mut parked_any = false;
+        let mut fu_refused = false;
+        self.issue_wake = u64::MAX;
         self.scratch_issued.fill(0);
         let mut i = 0;
         while i < self.iq.len() {
@@ -669,10 +756,12 @@ impl<'a> Core<'a> {
             let sid = self.iq[i];
             i += 1;
             let s = sid as usize;
-            // Ready-set filters: parked on a producer, or asleep until a
-            // known ready cycle. Neither consumes issue bandwidth, claims
-            // an FU, or touches the environment — skipping is invisible.
-            if self.slots.waiting[s] || self.slots.sleep_until[s] > now {
+            // Ready-set filter: asleep until a known ready cycle. It
+            // neither consumes issue bandwidth, claims an FU, nor touches
+            // the environment — skipping it is invisible.
+            let sleep = self.slots.sleep_until[s];
+            if sleep > now {
+                self.issue_wake = self.issue_wake.min(sleep);
                 continue;
             }
             let cluster = self.slots.cluster[s] as usize;
@@ -682,15 +771,20 @@ impl<'a> Core<'a> {
             let ready = match self.wakeup(s, env) {
                 Wakeup::Ready(t) => t,
                 Wakeup::WaitLocal(psid) => {
+                    // Park on the producer, out of the scan until it
+                    // issues (removed from `iq` below).
                     self.slots.waiting[s] = true;
                     self.slots.waiter_next[s] = self.slots.waiter_head[psid as usize];
                     self.slots.waiter_head[psid as usize] = sid;
+                    self.iq_parked += 1;
+                    parked_any = true;
                     continue;
                 }
                 Wakeup::Unknown => continue,
             };
             if ready > now {
                 self.slots.sleep_until[s] = ready;
+                self.issue_wake = self.issue_wake.min(ready);
                 continue;
             }
             // Record when the operands first became ready (for violation
@@ -713,7 +807,11 @@ impl<'a> Core<'a> {
                 match env.cross_load_gate(&x, ready_since) {
                     LoadGate::Free => {}
                     LoadGate::WaitUntil(t) if t <= now => {}
-                    LoadGate::WaitUntil(_) | LoadGate::Retry => continue,
+                    LoadGate::WaitUntil(t) => {
+                        self.issue_wake = self.issue_wake.min(t);
+                        continue;
+                    }
+                    LoadGate::Retry => continue,
                     LoadGate::Replay { data_at } => {
                         cross_data = Some(data_at);
                     }
@@ -728,6 +826,7 @@ impl<'a> Core<'a> {
 
             // Structural hazards last, so nothing is claimed on a retry.
             if !self.fus.try_issue(cluster, class, now, &self.cfg.lat) {
+                fu_refused = true;
                 continue;
             }
 
@@ -778,26 +877,41 @@ impl<'a> Core<'a> {
             self.slots.state[s] = SlotState::Issued { done };
             self.slots.mem_level[s] = issue_mem_level;
             self.slots.cross_replay[s] = issue_cross_replay;
-            // Wake everything parked on this producer.
+            // Wake everything parked on this producer. Its value is
+            // ready at `now + 1` at the earliest, so the woken entries
+            // join the scan from the next cycle on.
             let mut w = self.slots.waiter_head[s];
             self.slots.waiter_head[s] = NO_SLOT;
             while w != NO_SLOT {
                 self.slots.waiting[w as usize] = false;
+                self.scratch_woken.push(w);
                 w = self.slots.waiter_next[w as usize];
             }
             self.completions.push(done, x.gseq);
             note(hook, x.gseq, Stage::Issue, now);
-            issued_any = true;
             issued_total += 1;
             self.scratch_issued[cluster] += 1;
             self.iq_load[cluster] -= 1;
             self.stats.issued += 1;
         }
-        if issued_any {
-            let state = &self.slots.state;
-            self.iq
-                .retain(|&sid| matches!(state[sid as usize], SlotState::InQueue));
+        if issued_total > 0 || parked_any {
+            let (state, waiting) = (&self.slots.state, &self.slots.waiting);
+            self.iq.retain(|&sid| {
+                matches!(state[sid as usize], SlotState::InQueue) && !waiting[sid as usize]
+            });
         }
+        // Back into the scan in age order: per-core dispatch order is
+        // gseq order.
+        self.iq_parked -= self.scratch_woken.len();
+        let x = &self.slots.x;
+        for &sid in &self.scratch_woken {
+            let gseq = x[sid as usize].gseq;
+            let at = self.iq.partition_point(|&o| x[o as usize].gseq < gseq);
+            self.iq.insert(at, sid);
+        }
+        debug_assert!(self.iq.is_sorted_by_key(|&o| x[o as usize].gseq));
+        self.scratch_woken.clear();
+        issued_total > 0 || fu_refused
     }
 
     fn steer(&mut self, x: &ExecInst) -> usize {
@@ -835,7 +949,9 @@ impl<'a> Core<'a> {
         }
     }
 
-    fn dispatch(&mut self, now: u64, hook: &mut StageHook) {
+    /// Returns whether anything was dispatched.
+    fn dispatch(&mut self, now: u64, hook: &mut StageHook) -> bool {
+        let mut any = false;
         for _ in 0..self.cfg.decode_width {
             let Some(&(ready, _)) = self.pipe.front() else {
                 break;
@@ -846,19 +962,23 @@ impl<'a> Core<'a> {
             let x = self.pipe.front().expect("peeked").1;
             if self.rob.len() >= self.cfg.rob_size {
                 self.stats.rob_full += 1;
+                self.charged |= CHARGE_ROB_FULL;
                 break;
             }
-            if self.iq.len() >= self.cfg.iq_size {
+            if self.iq.len() + self.iq_parked >= self.cfg.iq_size {
                 self.stats.iq_full += 1;
+                self.charged |= CHARGE_IQ_FULL;
                 break;
             }
             match x.class() {
                 InstClass::Load if self.lq_used >= self.cfg.lq_size => {
                     self.stats.lsq_full += 1;
+                    self.charged |= CHARGE_LSQ_FULL;
                     break;
                 }
                 InstClass::Store if self.sq_used >= self.cfg.sq_size => {
                     self.stats.lsq_full += 1;
+                    self.charged |= CHARGE_LSQ_FULL;
                     break;
                 }
                 _ => {}
@@ -877,20 +997,29 @@ impl<'a> Core<'a> {
             self.iq.push(sid);
             self.iq_load[cluster] += 1;
             note(hook, x.gseq, Stage::Dispatch, now);
+            any = true;
         }
+        any
     }
 
+    /// Returns whether fetch moved: it reported a new cursor (which
+    /// partners read from the next cycle on) or accessed the I-cache.
     fn fetch(
         &mut self,
         now: u64,
         env: &mut dyn ExecEnv,
         mem: &mut Hierarchy,
         hook: &mut StageHook,
-    ) {
-        env.note_fetch_cursor(self.id, self.view.gseq(self.base, self.cursor));
+    ) -> bool {
+        let moved = self.noted_cursor != self.cursor;
+        if moved {
+            self.noted_cursor = self.cursor;
+            env.note_fetch_cursor(self.id, self.view.gseq(self.base, self.cursor));
+        }
         if now < self.fetch_stall_until {
             self.stats.icache_stall_cycles += 1;
-            return;
+            self.charged |= CHARGE_ICACHE;
+            return moved;
         }
         // The fetch buffer bounds decoded instructions waiting for
         // dispatch; instructions still traversing the frontend stages
@@ -900,14 +1029,15 @@ impl<'a> Core<'a> {
                 + self.cfg.extra_fetch_latency
                 + self.cfg.extra_rename_latency) as usize;
         if self.pipe.len() + self.cfg.fetch_width > self.cfg.fetch_buffer + frontend_flight {
-            return;
+            return moved;
         }
         let Some(first) = self.view.annotated(self.base, self.cursor) else {
-            return;
+            return moved;
         };
         if env.fetch_blocked(self.id, first.gseq, now) {
             self.stats.fetch_blocked_cycles += 1;
-            return;
+            self.charged |= CHARGE_FETCH_BLOCKED;
+            return moved;
         }
         let line_bytes = mem.config().l1i.line_bytes;
         let line_of = |pc: u64| Hierarchy::inst_addr(pc) / line_bytes;
@@ -921,7 +1051,7 @@ impl<'a> Core<'a> {
             if lat > hit_latency {
                 self.filled_line = Some(group_line);
                 self.fetch_stall_until = now + lat;
-                return;
+                return true;
             }
         }
         let ready = now
@@ -958,6 +1088,8 @@ impl<'a> Core<'a> {
                 }
             }
         }
+        // At least `first` was fetched.
+        true
     }
 }
 

@@ -249,6 +249,16 @@ impl FetchGate {
             }
         }
     }
+
+    /// The earliest resume cycle after `now` of a resolved block, when
+    /// fetch behind it can move again.
+    pub fn next_resume(&self, now: u64) -> Option<u64> {
+        self.pending
+            .iter()
+            .map(|&(_, resume)| resume)
+            .filter(|&resume| resume > now && resume != u64::MAX)
+            .min()
+    }
 }
 
 #[cfg(test)]

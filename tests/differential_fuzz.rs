@@ -10,14 +10,20 @@
 //! store values in commit order — must match the interpreter's final
 //! register file and memory image byte for byte.
 //!
+//! The same programs also check the cycle loop against itself: a run that
+//! skips idle cycles must match one that steps every cycle, field by field.
+//!
 //! Seeds are fixed, so every run covers the same programs and any failure
 //! replays exactly; divergences are collected and reported together rather
 //! than stopping at the first.
 
+use fg_stp_repro::core::run_fgstp_warm;
 use fg_stp_repro::isa::{
     trace_program, DynInst, Inst, Machine, Op, PreProgram, Program, Reg, ThreadedMachine, Trace,
 };
+use fg_stp_repro::ooo::WarmState;
 use fg_stp_repro::prelude::*;
+use fg_stp_repro::telemetry::{CycleOutcome, CycleSink};
 use fg_stp_repro::workloads::gen::Xorshift;
 use fg_stp_repro::workloads::CHECKSUM_ADDR;
 
@@ -192,6 +198,70 @@ fn fgstp_matches_sequential_interpreter() {
                     state.image[off],
                     reference.image[off]
                 ));
+            }
+        }
+    }
+    assert!(
+        divergences.is_empty(),
+        "{} divergence(s) across {CASES} cases:\n{}",
+        divergences.len(),
+        divergences.join("\n")
+    );
+}
+
+/// An enabled sink that records nothing: it keeps the machine stepping
+/// every cycle.
+struct EveryCycle;
+
+impl CycleSink for EveryCycle {
+    const ENABLED: bool = true;
+
+    fn record(&mut self, _core: usize, _now: u64, _outcome: CycleOutcome) {}
+}
+
+/// 200 random programs × {1, 2, 4} cores, plus 2 cores without
+/// cross-core memory-dependence speculation (whose loads wait out
+/// `LoadGate::WaitUntil`) and 4 cores with an 8-instruction lookahead
+/// window: a run that skips idle cycles equals a run that steps every
+/// cycle in every `RunResult` and `FgstpStats` field.
+#[test]
+fn skipping_idle_cycles_matches_stepping_every_cycle() {
+    let mut configs: Vec<FgstpConfig> = [1usize, 2, 4]
+        .iter()
+        .map(|&n| FgstpConfig::small().with_cores(n))
+        .collect();
+    let mut conservative = FgstpConfig::small();
+    conservative.dep_speculation = false;
+    configs.push(conservative);
+    // An 8-instruction lookahead window on 4 cores holds fetch on the
+    // skew bound often, so a core that moves its fetch cursor in a cycle
+    // that does nothing else still releases a partner the next cycle.
+    let mut narrow = FgstpConfig::small().with_cores(4);
+    narrow.partition.policy = PartitionPolicy::SliceLookahead {
+        window: 8,
+        refine_passes: 2,
+    };
+    configs.push(narrow);
+    let mut divergences: Vec<String> = Vec::new();
+    for case in 0..CASES {
+        let mut g = Xorshift::new(0x0DD1_0001 + case);
+        let program = arb_program(&mut g);
+        let trace = trace_program(&program, 100_000).expect("terminates");
+        for cfg in &configs {
+            let hcfg = HierarchyConfig::small(cfg.num_cores);
+            let (skipping, skipping_stats) = run_fgstp(trace.insts(), cfg, &hcfg);
+            let mut warm = WarmState::new(&cfg.core, &hcfg);
+            let (every, every_stats) =
+                run_fgstp_warm(trace.insts(), cfg, &mut warm, 0, &mut EveryCycle);
+            let at = format!(
+                "case {case} n={} speculation={}",
+                cfg.num_cores, cfg.dep_speculation
+            );
+            if format!("{skipping:?}") != format!("{:?}", every.result) {
+                divergences.push(format!("{at}: {skipping:?}\n  vs {:?}", every.result));
+            }
+            if format!("{skipping_stats:?}") != format!("{every_stats:?}") {
+                divergences.push(format!("{at}: {skipping_stats:?}\n  vs {every_stats:?}"));
             }
         }
     }

@@ -63,6 +63,9 @@ fn every_stack_reconciles_with_its_machine_cycles() {
     }
 }
 
+/// A plain run skips idle cycles, while an instrumented one steps every
+/// cycle to record it, so this also checks skipping against per-cycle
+/// stepping on the whole suite.
 #[test]
 fn telemetry_changes_no_measured_figure() {
     let plain = Session::new()
