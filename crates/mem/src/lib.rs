@@ -27,7 +27,6 @@ pub mod cache;
 pub mod hierarchy;
 pub mod mshr;
 pub mod prefetch;
-pub mod wheel;
 
 pub use cache::{AccessResult, Cache, CacheConfig, CacheStats};
 pub use hierarchy::{
@@ -35,4 +34,3 @@ pub use hierarchy::{
 };
 pub use mshr::MshrFile;
 pub use prefetch::StridePrefetcher;
-pub use wheel::EventWheel;

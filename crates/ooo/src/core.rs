@@ -46,18 +46,23 @@
 //!   cycle. The machine driver jumps there, and [`Core::charge_idle`]
 //!   charges the skipped cycles to the stall counters the quiet cycle
 //!   charged.
-//! * **Event wheel**: completions are scheduled on an O(1)
-//!   [`fgstp_mem::EventWheel`] instead of a binary heap, drained in the
-//!   exact `(cycle, gseq)` order the heap produced; its next-due lookup
-//!   is the core's first wake source.
+//! * **Completion heap**: each issued instruction's `(completion cycle,
+//!   gseq)` waits on a [`BinaryHeap`] until it is due. It pops in that
+//!   order, so same-cycle completions reach [`ExecEnv::on_complete`] in
+//!   ascending gseq, which the bandwidth-contended fabric sends depend on.
+//!   Its top is the core's first wake source. A core never has more
+//!   completions in flight than ROB entries (48 to 256), so a push or
+//!   pop sifts through at most eight levels.
 //! * **Reused scratch**: per-cycle work buffers (issued-per-cluster
-//!   counts, steering votes, drained completions) are struct members
-//!   cleared in place; the cycle loop performs no heap allocation.
+//!   counts, steering votes, woken entries) are struct members cleared in
+//!   place, and the completion heap is allocated once at ROB size; the
+//!   cycle loop performs no heap allocation.
 
-use std::collections::{HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use fgstp_isa::InstClass;
-use fgstp_mem::{EventWheel, Hierarchy, HierarchyConfig};
+use fgstp_mem::{Hierarchy, HierarchyConfig};
 use fgstp_telemetry::{CycleSink, MemLevel, Stage};
 
 use crate::config::CoreConfig;
@@ -193,7 +198,7 @@ enum Wakeup {
     /// Blocked on something the core cannot observe changing (a cross-core
     /// operand not yet delivered): re-poll each cycle the core runs. The
     /// delivery follows a completion on the producer's core, which that
-    /// core's completion wheel wakes the machine for.
+    /// core's completion heap wakes the machine for.
     Unknown,
 }
 
@@ -308,14 +313,16 @@ pub struct Core<'a> {
     /// Whether the instruction gates fetch (mispredicted control in
     /// flight), per global sequence number.
     gating: Vec<bool>,
-    completions: EventWheel,
+    /// `(completion cycle, gseq)` of every issued instruction not yet
+    /// complete, earliest first. They are all in the ROB, so the heap
+    /// never outgrows the capacity it starts with.
+    completions: BinaryHeap<Reverse<(u64, u64)>>,
     storeset: HashSet<u64>,
     /// Issue-queue occupancy per cluster, maintained incrementally for
     /// load-balanced steering.
     iq_load: Vec<usize>,
     scratch_votes: Vec<usize>,
     scratch_issued: Vec<usize>,
-    scratch_done: Vec<(u64, u64)>,
     /// Entries woken this cycle, re-entering the scan from the next one.
     scratch_woken: Vec<u32>,
     /// Fetch cursor last reported through [`ExecEnv::note_fetch_cursor`].
@@ -389,12 +396,11 @@ impl<'a> Core<'a> {
             complete_time: vec![u64::MAX; dense],
             cluster_of: vec![u8::MAX; dense],
             gating: vec![false; dense],
-            completions: EventWheel::new(),
+            completions: BinaryHeap::with_capacity(cfg.rob_size),
             storeset: HashSet::new(),
             iq_load: vec![0; clusters],
             scratch_votes: vec![0; clusters],
             scratch_issued: vec![0; clusters],
-            scratch_done: Vec::with_capacity(cfg.issue_width + 4),
             scratch_woken: Vec::with_capacity(cfg.issue_width + 4),
             // Nothing reported yet: the first cycle reports the cursor.
             noted_cursor: usize::MAX,
@@ -517,8 +523,8 @@ impl<'a> Core<'a> {
     /// wake sources (`u64::MAX` if it has none). A quiet cycle changes
     /// nothing but the per-cycle stall counters, and every cycle until the
     /// returned one would repeat it, unless another core acts first: what
-    /// a core waits on beyond its own wake sources is an event on another
-    /// core's completion wheel.
+    /// a core waits on beyond its own wake sources is a completion on
+    /// another core.
     pub fn cycle<S: CycleSink>(
         &mut self,
         now: u64,
@@ -574,7 +580,7 @@ impl<'a> Core<'a> {
             return now + 1;
         }
         let mut wake = self.issue_wake;
-        if let Some(t) = self.completions.next_due() {
+        if let Some(&Reverse((t, _))) = self.completions.peek() {
             wake = wake.min(t);
         }
         if self.fetch_stall_until > now {
@@ -590,10 +596,13 @@ impl<'a> Core<'a> {
 
     /// Returns whether anything completed.
     fn drain_completions(&mut self, now: u64, env: &mut dyn ExecEnv, hook: &mut StageHook) -> bool {
-        self.scratch_done.clear();
-        let mut due = std::mem::take(&mut self.scratch_done);
-        self.completions.drain_due_into(now, &mut due);
-        for &(cycle, gseq) in &due {
+        let mut any = false;
+        while let Some(&Reverse((cycle, gseq))) = self.completions.peek() {
+            if cycle > now {
+                break;
+            }
+            self.completions.pop();
+            any = true;
             let sid = self.slot_of[gseq as usize];
             debug_assert_ne!(sid, NO_SLOT, "completing slot exists");
             let s = sid as usize;
@@ -610,8 +619,6 @@ impl<'a> Core<'a> {
                 env.resolve_fetch_block(gseq, cycle + self.cfg.mispredict_penalty);
             }
         }
-        let any = !due.is_empty();
-        self.scratch_done = due;
         any
     }
 
@@ -887,7 +894,9 @@ impl<'a> Core<'a> {
                 self.scratch_woken.push(w);
                 w = self.slots.waiter_next[w as usize];
             }
-            self.completions.push(done, x.gseq);
+            debug_assert!(done > now, "completion at {done} is not after {now}");
+            self.completions.push(Reverse((done, x.gseq)));
+            debug_assert!(self.completions.len() <= self.cfg.rob_size);
             note(hook, x.gseq, Stage::Issue, now);
             issued_total += 1;
             self.scratch_issued[cluster] += 1;
@@ -1104,10 +1113,12 @@ mod tests {
 
     /// The world of one core running alone: its own predictor and a fetch
     /// gate. Nothing crosses cores, and the core's in-order ROB already
-    /// commits in program order.
+    /// commits in program order. It records every `(cycle, gseq)`
+    /// completion in the order the core reports them.
     struct InOrderEnv {
         pred: PredictorState,
         gate: FetchGate,
+        completed: Vec<(u64, u64)>,
     }
 
     impl ExecEnv for InOrderEnv {
@@ -1129,7 +1140,9 @@ mod tests {
             self.gate.resolve(gseq, resume);
         }
 
-        fn on_complete(&mut self, _core: usize, _x: &ExecInst, _cycle: u64) {}
+        fn on_complete(&mut self, _core: usize, x: &ExecInst, cycle: u64) {
+            self.completed.push((cycle, x.gseq));
+        }
 
         fn cross_operand_ready(&mut self, _core: usize, producer: u64) -> Option<u64> {
             unreachable!("one core has no cross-core producer ({producer})")
@@ -1145,6 +1158,13 @@ mod tests {
     }
 
     fn run(src: &str, cfg: CoreConfig) -> (u64, CoreStats) {
+        let (cycles, stats, _) = run_recording(src, cfg);
+        (cycles, stats)
+    }
+
+    /// Runs `src` to completion, also returning the completions the core
+    /// reported.
+    fn run_recording(src: &str, cfg: CoreConfig) -> (u64, CoreStats, Vec<(u64, u64)>) {
         let p = assemble(src).unwrap();
         let t = trace_program(&p, 100_000).unwrap();
         let stream = build_exec_stream(t.insts());
@@ -1153,6 +1173,7 @@ mod tests {
         let mut env = InOrderEnv {
             pred: PredictorState::new(&cfg),
             gate: FetchGate::default(),
+            completed: Vec::new(),
         };
         let mut mem = fgstp_mem::Hierarchy::new(&HierarchyConfig::small(1));
         let mut now = 0u64;
@@ -1162,7 +1183,7 @@ mod tests {
             assert!(now < total * 1000 + 100_000, "pipeline deadlocked");
         }
         assert_eq!(core.stats().committed, total, "all instructions commit");
-        (now, *core.stats())
+        (now, *core.stats(), env.completed)
     }
 
     const INDEPENDENT: &str = r#"
@@ -1364,6 +1385,42 @@ mod tests {
             stats.btb_bubbles >= 3,
             "cold jal targets bubble, got {}",
             stats.btb_bubbles
+        );
+    }
+
+    #[test]
+    fn completions_arrive_in_cycle_then_gseq_order() {
+        // The load (gseq 1) misses to DRAM. It issues in the same cycle as
+        // the first `addi`, ahead of it in age order, so its completion is
+        // scheduled before the ALU ops' although they all complete first,
+        // two per cycle on the 2-ALU small core.
+        let src = r#"
+            .data 0x100000
+            .word 7
+            li   x1, 0x100000
+            ld   x2, 0(x1)
+            addi x3, x1, 3
+            addi x4, x1, 4
+            addi x5, x1, 5
+            addi x6, x1, 6
+            addi x7, x1, 7
+            addi x8, x1, 8
+            halt
+        "#;
+        let (_, stats, completed) = run_recording(src, CoreConfig::small());
+        assert_eq!(completed.len() as u64, stats.issued);
+        assert!(
+            completed.windows(2).all(|w| w[0] < w[1]),
+            "not in strictly increasing (cycle, gseq): {completed:?}"
+        );
+        let load_done = completed.iter().find(|&&(_, gseq)| gseq == 1).unwrap().0;
+        let before_load = completed
+            .iter()
+            .filter(|&&(c, gseq)| gseq > 1 && c < load_done);
+        assert!(before_load.count() >= 6, "{completed:?}");
+        assert!(
+            completed.windows(2).any(|w| w[0].0 == w[1].0),
+            "no cycle completed two instructions: {completed:?}"
         );
     }
 

@@ -4,19 +4,22 @@ use fgstp_isa::InstClass;
 
 use crate::config::{ClusterConfig, FuLatencies};
 
-#[derive(Debug, Clone, Default)]
+/// Claims on a cluster's pipelined units in one cycle.
+#[derive(Debug, Clone, Copy, Default)]
 struct PerCycleUse {
-    int_alu: usize,
+    /// ALU ports: integer ALU ops and nops, and the branches and jumps
+    /// that resolve on them.
+    alu: usize,
     int_mul: usize,
     fp_add: usize,
     fp_mul: usize,
     mem_ports: usize,
-    branch: usize,
 }
 
 #[derive(Debug, Clone)]
 struct ClusterFu {
     cfg: ClusterConfig,
+    /// The cycle `used` counts claims in.
     cycle: u64,
     used: PerCycleUse,
     int_div_busy: Vec<u64>,
@@ -24,10 +27,12 @@ struct ClusterFu {
 }
 
 impl ClusterFu {
-    fn roll(&mut self, now: u64) {
-        if self.cycle != now {
-            self.cycle = now;
-            self.used = PerCycleUse::default();
+    /// The claims made at `now`: none if the last was in another cycle.
+    fn used_at(&self, now: u64) -> PerCycleUse {
+        if self.cycle == now {
+            self.used
+        } else {
+            PerCycleUse::default()
         }
     }
 }
@@ -59,9 +64,28 @@ impl FuPool {
         }
     }
 
-    /// Attempts to claim a unit of `class` in `cluster` at cycle `now` for
-    /// an operation of the given latencies. Returns `false` (claiming
-    /// nothing) if no unit is free.
+    /// Whether a unit of `class` in `cluster` is free at `now`, claiming
+    /// nothing: the capacity rule [`FuPool::try_issue`] claims by, and the
+    /// telemetry probe behind FU-contention attribution.
+    pub fn would_issue(&self, cluster: usize, class: InstClass, now: u64) -> bool {
+        let c = &self.clusters[cluster];
+        let (used, fu) = (c.used_at(now), &c.cfg.fu);
+        match class {
+            InstClass::IntAlu | InstClass::Nop | InstClass::Branch | InstClass::Jump => {
+                used.alu < fu.int_alu
+            }
+            InstClass::IntMul => used.int_mul < fu.int_mul,
+            InstClass::FpAdd => used.fp_add < fu.fp_add,
+            InstClass::FpMul => used.fp_mul < fu.fp_mul,
+            InstClass::Load | InstClass::Store => used.mem_ports < fu.mem_ports,
+            InstClass::IntDiv => c.int_div_busy.iter().any(|&b| b <= now),
+            InstClass::FpDiv => c.fp_div_busy.iter().any(|&b| b <= now),
+        }
+    }
+
+    /// Claims a unit of `class` in `cluster` at cycle `now` for an
+    /// operation of the given latencies if [`FuPool::would_issue`] finds
+    /// one free. Returns whether it did.
     pub fn try_issue(
         &mut self,
         cluster: usize,
@@ -69,92 +93,31 @@ impl FuPool {
         now: u64,
         lat: &FuLatencies,
     ) -> bool {
+        if !self.would_issue(cluster, class, now) {
+            return false;
+        }
         let c = &mut self.clusters[cluster];
-        c.roll(now);
+        c.used = c.used_at(now);
+        c.cycle = now;
+        let used = &mut c.used;
         match class {
-            InstClass::IntAlu | InstClass::Nop => {
-                if c.used.int_alu + c.used.branch < c.cfg.fu.int_alu {
-                    c.used.int_alu += 1;
-                    true
-                } else {
-                    false
-                }
+            InstClass::IntAlu | InstClass::Nop | InstClass::Branch | InstClass::Jump => {
+                used.alu += 1
             }
-            InstClass::IntMul => {
-                if c.used.int_mul < c.cfg.fu.int_mul {
-                    c.used.int_mul += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            InstClass::FpAdd => {
-                if c.used.fp_add < c.cfg.fu.fp_add {
-                    c.used.fp_add += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            InstClass::FpMul => {
-                if c.used.fp_mul < c.cfg.fu.fp_mul {
-                    c.used.fp_mul += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            InstClass::Load | InstClass::Store => {
-                if c.used.mem_ports < c.cfg.fu.mem_ports {
-                    c.used.mem_ports += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            InstClass::Branch | InstClass::Jump => {
-                // Branches resolve on an ALU; share the ALU ports.
-                if c.used.branch + c.used.int_alu < c.cfg.fu.int_alu {
-                    c.used.branch += 1;
-                    true
-                } else {
-                    false
-                }
-            }
+            InstClass::IntMul => used.int_mul += 1,
+            InstClass::FpAdd => used.fp_add += 1,
+            InstClass::FpMul => used.fp_mul += 1,
+            InstClass::Load | InstClass::Store => used.mem_ports += 1,
             InstClass::IntDiv => Self::claim_unpipelined(&mut c.int_div_busy, now, lat.int_div),
             InstClass::FpDiv => Self::claim_unpipelined(&mut c.fp_div_busy, now, lat.fp_div),
         }
+        true
     }
 
-    /// Whether a unit of `class` in `cluster` would be free at `now`,
-    /// claiming nothing — the telemetry probe behind FU-contention
-    /// attribution. Mirrors [`FuPool::try_issue`] exactly, including the
-    /// per-cycle counter roll (a stale cycle means nothing issued yet).
-    pub fn would_issue(&self, cluster: usize, class: InstClass, now: u64) -> bool {
-        let c = &self.clusters[cluster];
-        let fresh = PerCycleUse::default();
-        let used = if c.cycle == now { &c.used } else { &fresh };
-        match class {
-            InstClass::IntAlu | InstClass::Nop | InstClass::Branch | InstClass::Jump => {
-                used.int_alu + used.branch < c.cfg.fu.int_alu
-            }
-            InstClass::IntMul => used.int_mul < c.cfg.fu.int_mul,
-            InstClass::FpAdd => used.fp_add < c.cfg.fu.fp_add,
-            InstClass::FpMul => used.fp_mul < c.cfg.fu.fp_mul,
-            InstClass::Load | InstClass::Store => used.mem_ports < c.cfg.fu.mem_ports,
-            InstClass::IntDiv => c.int_div_busy.iter().any(|&b| b <= now),
-            InstClass::FpDiv => c.fp_div_busy.iter().any(|&b| b <= now),
-        }
-    }
-
-    fn claim_unpipelined(busy: &mut [u64], now: u64, latency: u64) -> bool {
-        for b in busy.iter_mut() {
-            if *b <= now {
-                *b = now + latency;
-                return true;
-            }
-        }
-        false
+    /// Holds the first unit of `busy` free at `now` for `latency` cycles.
+    fn claim_unpipelined(busy: &mut [u64], now: u64, latency: u64) {
+        let unit = busy.iter_mut().find(|b| **b <= now);
+        *unit.expect("would_issue found a free unit") = now + latency;
     }
 }
 
@@ -206,6 +169,47 @@ mod tests {
             !p.try_issue(0, InstClass::IntAlu, 3, &lat),
             "branch took one ALU"
         );
+    }
+
+    /// `would_issue` predicts every `try_issue` outcome on each cluster of
+    /// the small, medium and fused-small cores. Each cycle every class
+    /// claims until it is refused, in an order that rotates with the cycle
+    /// (so ALU ops and branches fill their shared ports both ways round),
+    /// while the dividers claimed in one cycle stay busy through later
+    /// ones. The claims a cycle takes pin the capacity rule.
+    #[test]
+    fn would_issue_predicts_try_issue() {
+        use InstClass::*;
+        let small = CoreConfig::small();
+        for cfg in [CoreConfig::medium(), CoreConfig::fused(&small), small] {
+            let mut p = FuPool::new(&cfg.clusters);
+            let lat = cfg.lat;
+            for (cluster, c) in cfg.clusters.iter().enumerate() {
+                for now in 0..2 * lat.int_div.max(lat.fp_div) {
+                    let mut claimed = Vec::new();
+                    for k in 0..InstClass::ALL.len() {
+                        let class = InstClass::ALL[(k + now as usize) % InstClass::ALL.len()];
+                        let at = format!("{} cluster {cluster} {class:?} at {now}", cfg.name);
+                        while p.would_issue(cluster, class, now) {
+                            assert!(p.try_issue(cluster, class, now, &lat), "{at}");
+                            claimed.push(class);
+                        }
+                        assert!(!p.try_issue(cluster, class, now, &lat), "{at}");
+                    }
+                    let count =
+                        |of: &[InstClass]| claimed.iter().filter(|c| of.contains(c)).count();
+                    assert_eq!(count(&[IntAlu, Nop, Branch, Jump]), c.fu.int_alu);
+                    assert_eq!(count(&[IntMul]), c.fu.int_mul);
+                    assert_eq!(count(&[FpAdd]), c.fu.fp_add);
+                    assert_eq!(count(&[FpMul]), c.fu.fp_mul);
+                    assert_eq!(count(&[Load, Store]), c.fu.mem_ports);
+                    // A divider claimed at `t` is free again at `t + latency`.
+                    let free = |latency: u64, units| if now % latency == 0 { units } else { 0 };
+                    assert_eq!(count(&[IntDiv]), free(lat.int_div, c.fu.int_div));
+                    assert_eq!(count(&[FpDiv]), free(lat.fp_div, c.fu.fp_div));
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! This pins the invariant the SMARTS-style sampler depends on — the warm
 //! entry points share the same hot loop as the cold ones, so any hot-loop
 //! optimization that changed warm-entry timing (ready-set filtering, the
-//! completion wheel, scratch reuse) would show up here as a cycle drift.
+//! completion heap, scratch reuse) would show up here as a cycle drift.
 
 use fg_stp_repro::ooo::WarmState;
 use fg_stp_repro::prelude::*;
